@@ -57,13 +57,13 @@ for ineq in report.inequalities:
           f"worst_margin={ineq.worst_margin:.3e} at (b, z)={ineq.worst_pair}")
 (OUT / "theorem_report.json").write_text(report.to_json() + "\n")
 
-curve = rate_curve(params, np.linspace(1.1, 12.0, 240))
-lower, upper = bracket_curves(params, curve.z_values)
+z, g = rate_curve(params, np.linspace(1.1, 12.0, 240))
+lower, upper = bracket_curves(params, z)
 series = [
-    Series.of("g_dc", curve.z_values, curve.g_values),
-    Series.of("g_default", curve.z_values, curve.z_values),
-    Series.of("lower", curve.z_values, lower),
-    Series.of("upper", curve.z_values, upper),
+    Series.of("g_dc", z, g),
+    Series.of("g_default", z, z),
+    Series.of("lower", z, lower),
+    Series.of("upper", z, upper),
 ]
 save_svg(
     render_line_chart(series, title="DC rate vs default rate with bounds",

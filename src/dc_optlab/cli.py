@@ -12,8 +12,9 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+from dataclasses import replace
+
 import numpy as np
 
 from . import __version__
@@ -26,8 +27,8 @@ from .dc_loss import (
     response_probability,
 )
 from .data import (
-    FLOAT_FMT,
     SyntheticSpec,
+    csv_text,
     generate,
     load_csv,
     save_csv,
@@ -64,16 +65,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _threads_default() -> int:
-    env = os.environ.get("DC_OPTLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _add_params_flags(p: argparse.ArgumentParser, with_preset: bool = True):
@@ -211,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="epochs-to-threshold accuracy level (default 0.95)")
     p.add_argument("--seed", type=int, default=None,
                    help="sweep seed; overrides --grid-spec (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; env DC_OPTLAB_THREADS when unset (default 1)")
 
     # plot
     p = sub.add_parser("plot", help="render a CSV emitted by this tool as SVG")
@@ -273,17 +262,18 @@ def _cmd_curves(args) -> int:
         configs = [(name, DCParams(**PRESETS[name])) for name in sorted(PRESETS)]
 
     t = np.linspace(args.t_min, args.t_max, args.samples)
-    lines = ["config,t,prob,loss,derivative,f"]
+    rows = []
     for name, params in configs:
-        prob = response_probability(params, t)
-        loss = per_sample_loss(params, t)
-        deriv = loss_derivative(params, t)
-        f = margin_transform(params, t)
-        for i in range(t.size):
-            vals = ",".join(FLOAT_FMT.format(v) for v in (t[i], prob[i], loss[i], deriv[i], f[i]))
-            lines.append(f"{name},{vals}")
+        columns = (
+            t,
+            response_probability(params, t),
+            per_sample_loss(params, t),
+            loss_derivative(params, t),
+            margin_transform(params, t),
+        )
+        rows.extend((name, *vals) for vals in zip(*columns))
     with open(args.out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(("config", "t", "prob", "loss", "derivative", "f"), rows))
     return EXIT_OK
 
 
@@ -291,16 +281,13 @@ def _cmd_rates(args) -> int:
     if args.samples < 2:
         raise ValidationError(f"--samples must be >= 2, got {args.samples}")
     params = _params_from_args(args)
-    z = np.linspace(args.z_min, args.z_max, args.samples)
-    curve = rate_curve(params, z)  # DomainError if nothing is valid
-    lower, upper = bracket_curves(params, curve.z_values)
+    # DomainError if no z of the grid is valid
+    z, g = rate_curve(params, np.linspace(args.z_min, args.z_max, args.samples))
+    lower, upper = bracket_curves(params, z)
     onset = rate_onset(params)
-    lines = ["z,g_dc,g_default,lower,upper,z_min"]
-    for zv, gv, lo, up in zip(curve.z_values, curve.g_values, lower, upper):
-        vals = ",".join(FLOAT_FMT.format(v) for v in (zv, gv, zv, lo, up, onset))
-        lines.append(vals)
+    rows = ((zv, gv, zv, lo, up, onset) for zv, gv, lo, up in zip(z, g, lower, upper))
     with open(args.out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(("z", "g_dc", "g_default", "lower", "upper", "z_min"), rows))
     return EXIT_OK
 
 
@@ -356,9 +343,7 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-DESK_GRID = dict(d_steps=2, p_steps=2, r_steps=4, c_steps=4)
-DESK_PICK = 0.125
-DESK_RUNS = 3
+DESK_GRID = dict(d_steps=2, p_steps=2, r_steps=4, c_steps=4, pick_fraction=0.125, runs=3)
 DESK_EPOCHS = 300
 
 
@@ -368,6 +353,8 @@ def _load_grid_spec(path) -> GridSpec:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"grid spec is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"grid spec must be a JSON object, got {obj!r}")
     try:
         return GridSpec.from_dict(obj)
     except TypeError as exc:
@@ -377,33 +364,15 @@ def _load_grid_spec(path) -> GridSpec:
 def _cmd_sweep(args) -> int:
     desk = args.profile == "desk"
     if args.grid_spec:
-        base = _load_grid_spec(args.grid_spec)
-        grid_kwargs = base.to_dict()
-        for key in ("d_range", "p_d_range", "r_range", "c_range"):
-            grid_kwargs[key] = tuple(grid_kwargs[key])
+        spec = _load_grid_spec(args.grid_spec)
     else:
-        grid_kwargs = dict(DESK_GRID) if desk else {}
-        grid_kwargs.setdefault("pick_fraction", DESK_PICK if desk else 0.025)
-        grid_kwargs.setdefault("runs", DESK_RUNS if desk else 10)
-        grid_kwargs["seed"] = 0
-    for key in ("d_steps", "p_steps", "r_steps", "c_steps"):
-        flag = getattr(args, key)
-        if flag is not None:
-            grid_kwargs[key] = flag
-    if args.pick_fraction is not None:
-        grid_kwargs["pick_fraction"] = args.pick_fraction
-    if args.runs is not None:
-        grid_kwargs["runs"] = args.runs
-    if args.seed is not None:
-        grid_kwargs["seed"] = args.seed
-    pick = grid_kwargs["pick_fraction"]
-    runs = grid_kwargs["runs"]
+        spec = GridSpec(**DESK_GRID) if desk else GridSpec()
+    flags = ("d_steps", "p_steps", "r_steps", "c_steps", "pick_fraction", "runs", "seed")
+    spec = replace(spec, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
     epochs = args.epochs if args.epochs is not None else (DESK_EPOCHS if desk else 1500)
-    threads = args.threads if args.threads is not None else _threads_default()
 
-    spec = GridSpec(**grid_kwargs)
     grid = build_grid(spec)
-    configs = sample_grid(grid, pick, spec.seed)
+    configs = sample_grid(grid, spec.pick_fraction, spec.seed)
     data_spec = SyntheticSpec(m=args.m, n=2, split_fraction=args.split_fraction, seed=0)
     train_cfg = TrainConfig(
         eta=args.eta, batch_size=args.batch_size, epochs=epochs, seed=0
@@ -412,10 +381,9 @@ def _cmd_sweep(args) -> int:
         configs,
         data_spec,
         train_cfg,
-        runs=runs,
+        runs=spec.runs,
         seed=spec.seed,
         accuracy_threshold=args.accuracy_threshold,
-        n_threads=threads,
     )
 
     if args.json_out:
@@ -425,7 +393,7 @@ def _cmd_sweep(args) -> int:
         with open(args.csv_out, "w", newline="") as fh:
             fh.write(result.to_csv())
 
-    print(f"sweep: |grid|={len(grid)}, sampled={len(configs)}, runs={runs}, "
+    print(f"sweep: |grid|={len(grid)}, sampled={len(configs)}, runs={spec.runs}, "
           f"epochs={epochs}, excluded_runs={result.excluded_runs}")
     print(f"{'family':<16}{'configs':>8}{'best_id':>9}{'best_acc':>10}{'avg_acc':>10}")
     for row in result.family_table():

@@ -11,9 +11,7 @@ branch below the onset z_min = ln(-b) + 1; requests below it raise
     b/z + z  <=  W0(b*exp(-z)) + z  <=  b*(ln z - z)/(z*ln z) + z     (z > e)
 
 straddles z from below and above; ``verify_theorem`` certifies this on a
-grid and reports worst-case margins. ``corollary_probe`` checks the two
-shift directions: larger r contracts the rate toward d, larger d moves it
-right additively.
+grid and reports worst-case margins.
 """
 
 import json
@@ -30,12 +28,6 @@ from .lambert_w import BRANCH_POINT, DOMAIN_SLACK, w0
 def rate_onset(params: DCParams) -> float:
     """Smallest z with a real-valued rate: ln(-b) + 1."""
     return math.log(-params.b) + 1.0
-
-
-def default_rate(z):
-    """Baseline rate of the strict monotone family: the identity g(z) = z."""
-    out = np.asarray(z, dtype=float)
-    return float(out) if out.ndim == 0 else out
 
 
 def dc_rate(params: DCParams, z):
@@ -57,6 +49,13 @@ def dc_rate(params: DCParams, z):
         )
     g = params.d + (w0(arg) + zarr) / params.r
     return float(g[0]) if scalar else g
+
+
+def _bracket(b, z):
+    """The theorem's enclosure of W0(b*exp(-z)) + z, as (lower, upper):
+    b/z + z and b*(ln z - z)/(z*ln z) + z. Elementwise over arrays."""
+    lz = np.log(z)
+    return b / z + z, b * (lz - z) / (z * lz) + z
 
 
 @dataclass(frozen=True)
@@ -90,10 +89,8 @@ def theorem_bracket(b: float, z: float) -> BoundBracket:
             f"W0 argument {arg!r} below -1/e; z={z!r} is under the onset "
             f"ln(-b)+1 = {math.log(-b) + 1.0!r}"
         )
-    lz = math.log(z)
-    lower = b / z + z
-    upper = b * (lz - z) / (z * lz) + z
-    return BoundBracket(lower=lower, upper=upper, z=z, value=w0(arg) + z)
+    lower, upper = _bracket(b, z)
+    return BoundBracket(lower=float(lower), upper=float(upper), z=z, value=w0(arg) + z)
 
 
 @dataclass
@@ -185,9 +182,7 @@ def verify_theorem(b_grid, z_grid) -> VerificationReport:
     b, z = b[keep], z[keep]
 
     value = w0(b * np.exp(-z)) + z
-    lz = np.log(z)
-    lower = b / z + z
-    upper = b * (lz - z) / (z * lz) + z
+    lower, upper = _bracket(b, z)
 
     checks = [
         _tally("lower <= value", b, z, value - lower, strict=False),
@@ -199,97 +194,14 @@ def verify_theorem(b_grid, z_grid) -> VerificationReport:
     )
 
 
-@dataclass
-class ShiftReport:
-    """Rate sequences under r and d sweeps, with monotonicity verdicts."""
+def rate_curve(params: DCParams, z_values) -> tuple[np.ndarray, np.ndarray]:
+    """Sample dc_rate over z_values, retaining only the valid domain.
 
-    z: float
-    base: DCParams
-    r_values: list[float]
-    g_over_r: list[float]
-    decreasing_in_r: bool
-    d_values: list[float]
-    g_over_d: list[float]
-    increasing_in_d: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "base": {"r": self.base.r, "c": self.base.c, "d": self.base.d,
-                     "p_d": self.base.p_d},
-            "r_values": self.r_values,
-            "g_over_r": self.g_over_r,
-            "decreasing_in_r": self.decreasing_in_r,
-            "d_values": self.d_values,
-            "g_over_d": self.g_over_d,
-            "increasing_in_d": self.increasing_in_d,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-
-def _sorted_probe_axis(name, values):
-    vals = [float(v) for v in values]
-    if len(vals) < 2 or any(y <= x for x, y in zip(vals, vals[1:])):
-        raise ValidationError(
-            f"{name} must be sorted strictly ascending with >= 2 entries"
-        )
-    return vals
-
-
-def corollary_probe(base: DCParams, z: float, r_values, d_values) -> ShiftReport:
-    """Probe the shift directions of the rate.
-
-    Holding d fixed, sweep r (requires c = 0 so b stays put); holding r
-    fixed, sweep d. Reports both g sequences and whether they are strictly
-    decreasing in r and strictly increasing in d.
+    Returns (z, g): the distinct valid z values in increasing order and the
+    rate at each. Raises ``ValidationError`` if a retained g is not finite
+    (z = inf).
     """
-    if base.c != 0.0:
-        raise ValidationError(
-            f"corollary probe requires c = 0 so b is independent of r, got c={base.c!r}"
-        )
-    r_values = _sorted_probe_axis("r_values", r_values)
-    d_values = _sorted_probe_axis("d_values", d_values)
-
-    g_over_r = [
-        dc_rate(DCParams(r=r, c=0.0, d=base.d, p_d=base.p_d), z) for r in r_values
-    ]
-    g_over_d = [
-        dc_rate(DCParams(r=base.r, c=0.0, d=d, p_d=base.p_d), z) for d in d_values
-    ]
-    return ShiftReport(
-        z=float(z),
-        base=base,
-        r_values=r_values,
-        g_over_r=g_over_r,
-        decreasing_in_r=all(y < x for x, y in zip(g_over_r, g_over_r[1:])),
-        d_values=d_values,
-        g_over_d=g_over_d,
-        increasing_in_d=all(y > x for x, y in zip(g_over_d, g_over_d[1:])),
-    )
-
-
-@dataclass(frozen=True)
-class RateCurve:
-    """Sampled rate curve: strictly increasing z values and finite g values."""
-
-    z_values: np.ndarray
-    g_values: np.ndarray
-    params: DCParams
-
-    def __post_init__(self):
-        if self.z_values.shape != self.g_values.shape:
-            raise ValidationError("z and g arrays must have equal length")
-        if np.any(np.diff(self.z_values) <= 0):
-            raise ValidationError("z_values must be strictly increasing")
-        if not np.all(np.isfinite(self.g_values)):
-            raise ValidationError("g_values must be finite at every retained point")
-
-
-def rate_curve(params: DCParams, z_values) -> RateCurve:
-    """Sample dc_rate over z_values, retaining only the valid domain."""
-    z = np.sort(np.unique(np.asarray(z_values, dtype=float)))
+    z = np.unique(np.asarray(z_values, dtype=float))
     with np.errstate(over="ignore"):
         keep = params.b * np.exp(-z) >= BRANCH_POINT - DOMAIN_SLACK
     z = z[keep]
@@ -297,7 +209,10 @@ def rate_curve(params: DCParams, z_values) -> RateCurve:
         raise DomainError(
             f"no z value is at or above the onset z_min = {rate_onset(params)!r}"
         )
-    return RateCurve(z_values=z, g_values=dc_rate(params, z), params=params)
+    g = dc_rate(params, z)
+    if not np.all(np.isfinite(g)):
+        raise ValidationError("g_values must be finite at every retained point")
+    return z, g
 
 
 def bracket_curves(params: DCParams, z_values):
@@ -312,16 +227,7 @@ def bracket_curves(params: DCParams, z_values):
     lower = np.full_like(z, np.nan)
     upper = np.full_like(z, np.nan)
     m = z > math.e
-    lz = np.log(z[m])
-    lower[m] = params.d + (params.b / z[m] + z[m]) / params.r
-    upper[m] = params.d + (params.b * (lz - z[m]) / (z[m] * lz) + z[m]) / params.r
+    lo, up = _bracket(params.b, z[m])
+    lower[m] = params.d + lo / params.r
+    upper[m] = params.d + up / params.r
     return lower, upper
-
-
-def rate_curve_csv(curve: RateCurve) -> str:
-    """Render a curve as CSV: z,g_dc,g_default,lower,upper."""
-    lower, upper = bracket_curves(curve.params, curve.z_values)
-    lines = ["z,g_dc,g_default,lower,upper"]
-    for z, g, lo, up in zip(curve.z_values, curve.g_values, lower, upper):
-        lines.append(f"{z:.17g},{g:.17g},{z:.17g},{lo:.17g},{up:.17g}")
-    return "\n".join(lines) + "\n"

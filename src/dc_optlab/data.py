@@ -12,9 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDatasetError, FormatError, ValidationError
+from .errors import FormatError, ValidationError
 
 FLOAT_FMT = "{:.17g}"
+
+
+def csv_text(header, rows) -> str:
+    """CSV with a header line: floats as FLOAT_FMT, anything else via str."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(FLOAT_FMT.format(v) if isinstance(v, float) else str(v) for v in row)
+        )
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +145,8 @@ def split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
 
 def dataset_csv(data: Dataset) -> str:
     """Render as CSV with header x1,...,xn,y."""
-    header = ",".join([f"x{j + 1}" for j in range(data.n)] + ["y"])
-    lines = [header]
-    for row, y in zip(data.features, data.labels):
-        lines.append(",".join(FLOAT_FMT.format(v) for v in row) + f",{y:d}")
-    return "\n".join(lines) + "\n"
+    header = [f"x{j + 1}" for j in range(data.n)] + ["y"]
+    return csv_text(header, ([*row, y] for row, y in zip(data.features, data.labels)))
 
 
 def save_csv(data: Dataset, path) -> None:
@@ -187,11 +194,3 @@ def load_csv(path) -> Dataset:
 
     features = np.array(feats, dtype=float).reshape(len(feats), n)
     return Dataset(features=features, labels=np.array(labs, dtype=int))
-
-
-def class_counts(data: Dataset) -> tuple[int, int]:
-    """(#positive, #negative) labels."""
-    if data.m == 0:
-        raise EmptyDatasetError("dataset is empty")
-    pos = int(np.count_nonzero(data.labels == 1))
-    return pos, data.m - pos

@@ -92,11 +92,6 @@ class LossConfigKind(str, enum.Enum):
 R_UNIT_TOL = 1e-12
 
 
-def new_params(r: float, c: float, d: float, p_d: float) -> DCParams:
-    """Validating constructor; equivalent to DCParams(r, c, d, p_d)."""
-    return DCParams(r=r, c=c, d=d, p_d=p_d)
-
-
 def _shifted_exp(params: DCParams, t):
     # exp(-r*(t-d)), clipped so downstream products stay finite
     z = -params.r * (np.asarray(t, dtype=float) - params.d)
@@ -149,15 +144,6 @@ def loss_derivative(params: DCParams, t):
     with np.errstate(over="ignore"):
         log_mag = params.eps + math.log(-params.b) + math.log(params.r) - s + params.b * u
     out = -np.exp(np.minimum(log_mag, 709.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def two_pl(omega, r: float, d: float):
-    """Two-parameter logistic response model 1/(1 + exp(-r*(omega - d)))."""
-    if not r > 0:
-        raise ValidationError(f"discrimination r must be > 0, got {r!r}")
-    z = np.clip(r * (np.asarray(omega, dtype=float) - d), -709.0, 709.0)
-    out = 1.0 / (1.0 + np.exp(-z))
     return float(out) if out.ndim == 0 else out
 
 

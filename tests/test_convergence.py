@@ -1,4 +1,4 @@
-"""Rate formula, bracket certificate, and shift probes."""
+"""Rate formula, shift directions, and the bracket certificate."""
 
 import math
 
@@ -10,12 +10,9 @@ from dc_optlab import (
     DomainError,
     ValidationError,
     bracket_curves,
-    corollary_probe,
     dc_rate,
-    default_rate,
     margin_transform,
     rate_curve,
-    rate_curve_csv,
     rate_onset,
     theorem_bracket,
     verify_theorem,
@@ -66,11 +63,17 @@ class TestDcRate:
         g = dc_rate(B_MINUS_ONE, z)
         assert list(g) == [dc_rate(B_MINUS_ONE, float(v)) for v in z]
 
+    def test_r_sweep_matches_frozen_oracle_values(self):
+        g = [dc_rate(DCParams(r=r, c=0.0, d=0.0, p_d=math.exp(-1.0)), 5.0)
+             for r in (1.0, 2.0, 4.0)]
+        expected = [4.993216188647903, 2.4966080943239515, 1.2483040471619757]
+        assert g == pytest.approx(expected, rel=1e-12)
 
-class TestDefaultRate:
-    @pytest.mark.parametrize("z", [1.0, math.e, 42.0])
-    def test_identity(self, z):
-        assert default_rate(z) == z
+    def test_d_sweep_exact_shifts(self):
+        g = [dc_rate(DCParams(r=1.0, c=0.0, d=d, p_d=math.exp(-1.0)), 5.0)
+             for d in (0.0, 1.0, 2.0)]
+        assert g[1] == g[0] + 1.0
+        assert g[2] == g[0] + 2.0
 
 
 class TestTheoremBracket:
@@ -139,68 +142,29 @@ class TestVerifyTheorem:
         assert report.checked == 180
 
 
-class TestCorollaryProbe:
-    def test_r_sweep_matches_frozen_oracle_values(self):
-        report = corollary_probe(B_MINUS_ONE, 5.0, [1.0, 2.0, 4.0], [0.0, 1.0])
-        expected = [4.993216188647903, 2.4966080943239515, 1.2483040471619757]
-        assert report.g_over_r == pytest.approx(expected, rel=1e-12)
-        assert report.decreasing_in_r
-
-    def test_d_sweep_exact_shifts(self):
-        report = corollary_probe(B_MINUS_ONE, 5.0, [1.0, 2.0], [0.0, 1.0, 2.0])
-        g0 = report.g_over_d[0]
-        assert report.g_over_d[1] == g0 + 1.0
-        assert report.g_over_d[2] == g0 + 2.0
-        assert report.increasing_in_d
-
-    def test_nonzero_c_rejected(self):
-        base = DCParams(r=1.0, c=1.0, d=0.0, p_d=0.5)
-        with pytest.raises(ValidationError, match="c = 0"):
-            corollary_probe(base, 5.0, [1.0, 2.0], [0.0, 1.0])
-
-    @pytest.mark.parametrize("r_values", [[1.0], [2.0, 1.0], [1.0, 1.0]])
-    def test_bad_axes_rejected(self, r_values):
-        with pytest.raises(ValidationError):
-            corollary_probe(B_MINUS_ONE, 5.0, r_values, [0.0, 1.0])
-
-    def test_serializes(self):
-        report = corollary_probe(B_MINUS_ONE, 5.0, [1.0, 2.0], [0.0, 1.0])
-        obj = report.to_dict()
-        assert obj["z"] == 5.0
-        assert obj["decreasing_in_r"] is True
-
-
 class TestRateCurve:
     def test_filters_to_valid_domain(self):
-        curve = rate_curve(B_MINUS_ONE, np.linspace(0.2, 5.0, 25))
-        assert np.all(curve.z_values >= rate_onset(B_MINUS_ONE) - 1e-12)
-        assert np.all(np.isfinite(curve.g_values))
+        z, g = rate_curve(B_MINUS_ONE, np.linspace(0.2, 5.0, 25))
+        assert np.all(z >= rate_onset(B_MINUS_ONE) - 1e-12)
+        assert np.all(np.diff(z) > 0)
+        assert np.all(np.isfinite(g))
 
     def test_all_invalid_raises(self):
         with pytest.raises(DomainError):
             rate_curve(B_MINUS_ONE, [0.1, 0.5, 0.9])
 
-    def test_csv_header_and_bounds(self):
-        curve = rate_curve(B_MINUS_ONE, np.linspace(2.0, 6.0, 9))
-        text = rate_curve_csv(curve)
-        lines = text.strip().split("\n")
-        assert lines[0] == "z,g_dc,g_default,lower,upper"
-        assert len(lines) == 1 + curve.z_values.size
-
     def test_bracket_curves_nan_below_e_and_contain_rate(self):
-        z = np.linspace(2.0, 10.0, 17)
-        curve = rate_curve(B_MINUS_ONE, z)
-        lower, upper = bracket_curves(B_MINUS_ONE, curve.z_values)
-        below = curve.z_values <= math.e
+        z, g = rate_curve(B_MINUS_ONE, np.linspace(2.0, 10.0, 17))
+        lower, upper = bracket_curves(B_MINUS_ONE, z)
+        below = z <= math.e
         assert np.all(np.isnan(lower[below]))
         above = ~below
-        assert np.all(lower[above] < curve.g_values[above])
-        assert np.all(curve.g_values[above] < upper[above])
+        assert np.all(lower[above] < g[above])
+        assert np.all(g[above] < upper[above])
 
     def test_bracket_curves_scale_with_r_and_d(self):
         p = DCParams(r=2.0, c=0.0, d=1.0, p_d=math.exp(-1.0))
-        z = np.linspace(3.0, 8.0, 11)
-        curve = rate_curve(p, z)
-        lower, upper = bracket_curves(p, curve.z_values)
-        assert np.all(lower < curve.g_values)
-        assert np.all(curve.g_values < upper)
+        z, g = rate_curve(p, np.linspace(3.0, 8.0, 11))
+        lower, upper = bracket_curves(p, z)
+        assert np.all(lower < g)
+        assert np.all(g < upper)

@@ -13,7 +13,7 @@ from dc_optlab import (
     save_csv,
     split,
 )
-from dc_optlab.data import class_counts, dataset_csv
+from dc_optlab.data import csv_text, dataset_csv
 
 
 class TestDataset:
@@ -50,8 +50,11 @@ class TestGenerate:
         assert generate(SyntheticSpec(seed=1)) != generate(SyntheticSpec(seed=2))
 
     def test_class_counts_split_evenly(self):
-        assert class_counts(generate(SyntheticSpec(seed=9))) == (500, 500)
-        assert class_counts(generate(SyntheticSpec(m=5, seed=9))) == (3, 2)
+        # ceil(m/2) positives, floor(m/2) negatives
+        for m, positives in ((1000, 500), (5, 3)):
+            labels = generate(SyntheticSpec(m=m, seed=9)).labels
+            assert np.count_nonzero(labels == 1) == positives
+            assert np.count_nonzero(labels == -1) == m - positives
 
     def test_separability_witness(self):
         # all-ones direction classifies the default blobs well
@@ -146,3 +149,13 @@ class TestCsvRoundTrip:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
+
+
+class TestCsvText:
+    def test_floats_take_17_digits_everything_else_str(self):
+        text = csv_text(("a", "b", "c", "d"), [(0.1, np.float64(1 / 3), 7, "kind"),
+                                               (float("nan"), 2.0, np.int64(-1), "x")])
+        assert text == "a,b,c,d\n0.10000000000000001,0.33333333333333331,7,kind\nnan,2,-1,x\n"
+
+    def test_header_only(self):
+        assert csv_text(("z",), []) == "z\n"

@@ -14,17 +14,15 @@ from dc_optlab import (
     log_response_probability,
     loss_derivative,
     margin_transform,
-    new_params,
     per_sample_loss,
     response_probability,
-    two_pl,
 )
 from conftest import random_params
 
 
 class TestDCParams:
     def test_no_dc_derivation(self):
-        p = new_params(r=1.0, c=0.0, d=0.0, p_d=0.5)
+        p = DCParams(r=1.0, c=0.0, d=0.0, p_d=0.5)
         assert p.eps == 0.0
         assert p.a == 1.0
         assert p.b == math.log(0.5)
@@ -174,23 +172,6 @@ class TestMarginTransform:
     def test_known_value(self):
         p = DCParams(r=1.0, c=0.0, d=0.0, p_d=math.exp(-1.0))
         assert margin_transform(p, 1.0) == pytest.approx(1.0 + math.exp(-1.0), rel=1e-14)
-
-
-class TestTwoPl:
-    def test_half_at_difficulty(self):
-        assert two_pl(1.3, 2.7, 1.3) == 0.5
-
-    def test_standard_sigmoid_reduction(self):
-        omega = np.linspace(-8, 8, 33)
-        expected = 1.0 / (1.0 + np.exp(-omega))
-        assert np.allclose(two_pl(omega, 1.0, 0.0), expected, rtol=1e-14)
-
-    def test_limit_one(self):
-        assert two_pl(1e9, 1.0, 0.0) == 1.0
-
-    def test_requires_positive_r(self):
-        with pytest.raises(ValidationError):
-            two_pl(0.0, 0.0, 0.0)
 
 
 class TestClassifyConfig:

@@ -139,13 +139,6 @@ class TestRunSweep:
         assert "NumericalError" in result.per_config[0].runs[0].error
         assert result.family_best == {}
 
-    def test_thread_count_does_not_change_results(self):
-        configs = build_grid(GridSpec(d_steps=1, p_steps=1, r_steps=2, c_steps=2))
-        one = run_sweep(configs, self.DATA, self.CFG, runs=2, seed=3, n_threads=1)
-        four = run_sweep(configs, self.DATA, self.CFG, runs=2, seed=3, n_threads=4)
-        assert one.to_json() == four.to_json()
-        assert one.to_csv() == four.to_csv()
-
     def test_csv_layout(self):
         configs = [DCParams(r=2.0, c=0.0, d=0.0, p_d=0.5)]
         result = run_sweep(configs, self.DATA, self.CFG, runs=2, seed=1)
