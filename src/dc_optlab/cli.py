@@ -280,6 +280,8 @@ def _cmd_curves(args) -> int:
 def _cmd_rates(args) -> int:
     if args.samples < 2:
         raise ValidationError(f"--samples must be >= 2, got {args.samples}")
+    if not (math.isfinite(args.z_min) and math.isfinite(args.z_max)):
+        raise ValidationError("need finite --z-min and --z-max")
     params = _params_from_args(args)
     # DomainError if no z of the grid is valid
     z, g = rate_curve(params, np.linspace(args.z_min, args.z_max, args.samples))

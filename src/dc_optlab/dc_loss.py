@@ -34,9 +34,9 @@ from .errors import ValidationError
 class DCParams:
     """Parameter bundle of the DC loss.
 
-    r: growth rate of differential capability (> 0)
-    c: decay rate (>= 0)
-    d: item difficulty in margin units (>= 0)
+    r: growth rate of differential capability (finite, > 0)
+    c: decay rate (finite, >= 0)
+    d: item difficulty in margin units (finite, >= 0)
     p_d: probability of a correct response at t = d (in (0, 1))
 
     Derived (never serialized): eps = c/r, a = exp(eps), b = ln(p_d) - eps.
@@ -51,12 +51,12 @@ class DCParams:
     b: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValidationError(f"r must be > 0, got {self.r!r}")
-        if not self.c >= 0:
-            raise ValidationError(f"c must be >= 0, got {self.c!r}")
-        if not self.d >= 0:
-            raise ValidationError(f"d must be >= 0, got {self.d!r}")
+        if not (self.r > 0 and math.isfinite(self.r)):
+            raise ValidationError(f"r must be finite and > 0, got {self.r!r}")
+        if not (self.c >= 0 and math.isfinite(self.c)):
+            raise ValidationError(f"c must be finite and >= 0, got {self.c!r}")
+        if not (self.d >= 0 and math.isfinite(self.d)):
+            raise ValidationError(f"d must be finite and >= 0, got {self.d!r}")
         if not 0 < self.p_d < 1:
             raise ValidationError(f"p_d must be in (0, 1), got {self.p_d!r}")
         object.__setattr__(self, "eps", self.c / self.r)

@@ -48,8 +48,8 @@ class TrainConfig:
     init: Init = Init.ZEROS
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValidationError(f"eta must be > 0, got {self.eta!r}")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ValidationError(f"eta must be finite and > 0, got {self.eta!r}")
         if not self.batch_size >= 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size!r}")
         if not self.epochs >= 1:
@@ -106,8 +106,7 @@ def loss_gradient(params: DCParams, theta: np.ndarray, data: Dataset) -> np.ndar
 def gd_step(theta: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
     """One fixed-step update theta - eta * grad.
 
-    May return non-finite entries for divergent steps; ``train`` turns
-    those into ``NumericalError``.
+    May return non-finite entries for divergent steps.
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -143,6 +142,89 @@ def _initial_theta(cfg: TrainConfig, n: int, rng: np.random.Generator) -> np.nda
     return rng.normal(0.0, 1.0 / math.sqrt(n), size=n)
 
 
+def _check_training_sets(train_set: Dataset, test_set: Dataset, cfg: TrainConfig) -> None:
+    """Reject datasets that ``train`` cannot run on (typed errors, no training)."""
+    if train_set.m == 0:
+        raise ValidationError("training set must be nonempty")
+    if train_set.n != test_set.n:
+        raise DimensionError(
+            f"train has {train_set.n} features but test has {test_set.n}"
+        )
+    if cfg.batch_size > train_set.m:
+        raise ValidationError(
+            f"batch_size {cfg.batch_size} exceeds training set size {train_set.m}"
+        )
+    if test_set.m == 0:
+        raise EmptyDatasetError("accuracy of an empty dataset is undefined")
+
+
+def _signed_features(data: Dataset) -> np.ndarray:
+    """labels * features row by row: margins are signed @ theta. A sign flip
+    is exact, so margins and gradients keep the bits of the unsigned forms."""
+    return data.labels[:, None] * data.features
+
+
+def _lockstep(
+    params: list[DCParams],
+    signed: np.ndarray,
+    rngs: list[np.random.Generator],
+    cfg: TrainConfig,
+    diverged: dict[int, NumericalError],
+):
+    """Train R jobs in lockstep; yield (epoch, live, theta) after every epoch.
+
+    Job j minimizes the loss of ``params[j]`` on its training set, given as
+    ``signed[j]`` (an (m, n) ``_signed_features`` block, the same shape for
+    every job), drawing its initial weights and epoch permutations from
+    ``rngs[j]``. Every job takes the same steps, with the same bits, as a
+    run of its own: margins, the loss derivative (log-space constant
+    eps + ln(-b) + ln(r) in Python floats, as ``loss_derivative``) and
+    the summed gradient are computed per row with the same elementwise
+    operations and reductions. ``live`` holds the indices of the jobs still
+    training and ``theta`` their (len(live), n) weights. A job whose weights
+    leave the finite range stops, and ``diverged[j]`` gets a ``NumericalError``
+    that names its epoch (and minibatch, for SGD).
+    """
+    m, n = signed.shape[1:]
+    r = np.array([[p.r] for p in params])
+    d = np.array([[p.d] for p in params])
+    b = np.array([[p.b] for p in params])
+    k = np.array([[p.eps + math.log(-p.b) + math.log(p.r)] for p in params])
+    theta = np.array([_initial_theta(cfg, n, rng) for rng in rngs])
+    live = np.arange(len(rngs))
+    sgd = cfg.mode is Mode.SGD
+    step = cfg.batch_size if sgd else m
+    for epoch in range(1, cfg.epochs + 1):
+        if sgd:
+            # every job's rows in its own epoch order, gathered once
+            order = np.array([rng.permutation(m) for rng in rngs])
+            order += np.arange(0, order.size, m)[:, None]
+            epoch_rows = signed.reshape(-1, n).take(order, axis=0)
+        else:
+            epoch_rows = signed
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch_index, start in enumerate(range(0, m, step)):
+                batch = epoch_rows[:, start:start + step]
+                t = np.einsum("rij,rj->ri", batch, theta)
+                s = r * (t - d)
+                u = np.exp(np.minimum(np.maximum(-s, -745.0), 709.0))
+                deriv = -np.exp(np.minimum(k - s + b * u, 709.0))
+                theta = theta - cfg.eta * np.einsum("ri,rij->rj", deriv, batch)
+                if np.isfinite(theta).all():
+                    continue
+                finite = np.isfinite(theta).all(axis=1)
+                where = f"epoch {epoch}, minibatch {batch_index}" if sgd else f"epoch {epoch}"
+                for j in live[~finite]:
+                    diverged[int(j)] = NumericalError(f"non-finite weights at {where}")
+                live, theta, r, d, b, k, signed, epoch_rows = (
+                    a[finite] for a in (live, theta, r, d, b, k, signed, epoch_rows)
+                )
+                rngs = [rng for rng, keep in zip(rngs, finite) if keep]
+                if not live.size:
+                    return
+        yield epoch, live, theta
+
+
 def train_with_weights(
     params: DCParams,
     train_set: Dataset,
@@ -157,36 +239,15 @@ def train_with_weights(
     epoch. Raises ``NumericalError`` with epoch/minibatch coordinates if
     the weights leave the finite range.
     """
-    if train_set.m == 0:
-        raise ValidationError("training set must be nonempty")
-    if train_set.n != test_set.n:
-        raise DimensionError(
-            f"train has {train_set.n} features but test has {test_set.n}"
-        )
-    if cfg.batch_size > train_set.m:
-        raise ValidationError(
-            f"batch_size {cfg.batch_size} exceeds training set size {train_set.m}"
-        )
-
-    rng = np.random.default_rng(cfg.seed)
-    theta = _initial_theta(cfg, train_set.n, rng)
-
-    m = train_set.m
+    _check_training_sets(train_set, test_set, cfg)
+    diverged: dict[int, NumericalError] = {}
+    epochs = _lockstep(
+        [params], _signed_features(train_set)[None], [np.random.default_rng(cfg.seed)],
+        cfg, diverged,
+    )
     traces: list[EpochTrace] = []
-    for epoch in range(1, cfg.epochs + 1):
-        if cfg.mode is Mode.GD:
-            theta = gd_step(theta, loss_gradient(params, theta, train_set), cfg.eta)
-            if not np.all(np.isfinite(theta)):
-                raise NumericalError(f"non-finite weights at epoch {epoch}")
-        else:
-            perm = rng.permutation(m)
-            for k, start in enumerate(range(0, m, cfg.batch_size)):
-                batch = train_set.subset(perm[start:start + cfg.batch_size])
-                theta = gd_step(theta, loss_gradient(params, theta, batch), cfg.eta)
-                if not np.all(np.isfinite(theta)):
-                    raise NumericalError(
-                        f"non-finite weights at epoch {epoch}, minibatch {k}"
-                    )
+    for epoch, _, weights in epochs:
+        theta = weights[0]
         traces.append(
             EpochTrace(
                 epoch=epoch,
@@ -196,6 +257,8 @@ def train_with_weights(
                 min_normalized_margin=min_normalized_margin(theta, train_set),
             )
         )
+    if diverged:
+        raise diverged[0]
     return theta, traces
 
 

@@ -4,21 +4,39 @@ and aggregation into configuration families.
 
 Per-run seeding is pinned: run (i, k) of the sweep draws its data, split,
 and training seeds from numpy's SeedSequence([sweep_seed, i, k]), so each
-run varies both the dataset realization and the SGD shuffling, results are
-independent of execution order, and re-running a sweep reproduces it byte
-for byte.
+run varies both the dataset realization and the SGD shuffling.
+
+Runs train in lockstep chunks of (i, k) jobs: one vectorised loop advances
+every job of a chunk, each on its own data, loss constants and generator,
+with the per-row operations of a run trained alone (``neuron._lockstep``).
+Results are therefore independent of execution order and of chunking, and
+re-running a sweep reproduces it byte for byte.
 """
 
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dc_loss import DCParams, LossConfigKind, classify_config
 from .data import SyntheticSpec, csv_text, generate, split
-from .errors import DCOptLabError, ValidationError
-from .neuron import EpochTrace, TrainConfig, train
+from .errors import DCOptLabError, NumericalError, ValidationError
+from .neuron import (
+    EpochTrace,
+    TrainConfig,
+    _check_training_sets,
+    _lockstep,
+    _signed_features,
+    empirical_loss,
+)
+
+# jobs trained together by one lockstep pass. At the protocol's m=1000,
+# n=2 throughput stops growing past about 16 jobs a chunk, while peak
+# memory grows about 80 KB a job.
+_CHUNK = 64
 
 # families that compete for a "best" entry; decaying-only configs are
 # recorded but de-emphasized
@@ -109,19 +127,43 @@ def _axis(rng: tuple[float, float], steps: int) -> np.ndarray:
     return np.linspace(rng[0], rng[1], steps)
 
 
-def build_grid(spec: GridSpec) -> list[DCParams]:
+class _Grid(Sequence):
+    """The Cartesian grid of a GridSpec as a read-only sequence: index ->
+    DCParams by mixed radix over the axes, d slowest, c fastest."""
+
+    def __init__(self, spec: GridSpec):
+        self._axes = (
+            _axis(spec.d_range, spec.d_steps),
+            _axis(spec.p_d_range, spec.p_steps),
+            _axis(spec.r_range, spec.r_steps),
+            _axis(spec.c_range, spec.c_steps),
+        )
+        self._len = math.prod(axis.size for axis in self._axes)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index) -> DCParams:
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError(f"grid index {index} out of range")
+        values = []
+        for axis in reversed(self._axes):
+            index, pos = divmod(index, axis.size)
+            values.append(float(axis[pos]))
+        c, r, p_d, d = values
+        return DCParams(r=r, c=c, d=d, p_d=p_d)
+
+
+def build_grid(spec: GridSpec) -> Sequence[DCParams]:
     """Cartesian product, endpoints inclusive, ordered d-outermost to
-    c-innermost."""
-    grid = []
-    for d in _axis(spec.d_range, spec.d_steps):
-        for p_d in _axis(spec.p_d_range, spec.p_steps):
-            for r in _axis(spec.r_range, spec.r_steps):
-                for c in _axis(spec.c_range, spec.c_steps):
-                    grid.append(DCParams(r=float(r), c=float(c), d=float(d), p_d=float(p_d)))
-    return grid
+    c-innermost. Entries are built on access, not stored."""
+    return _Grid(spec)
 
 
-def sample_grid(grid: list[DCParams], pick_fraction: float, seed: int) -> list[DCParams]:
+def sample_grid(grid: Sequence[DCParams], pick_fraction: float, seed: int) -> list[DCParams]:
     """ceil(pick_fraction * |grid|) distinct configs, seeded, grid order kept."""
     if not 0 < pick_fraction <= 1:
         raise ValidationError(
@@ -254,38 +296,83 @@ def run_seeds(sweep_seed: int, config_index: int, run_index: int) -> tuple[int, 
     return int(a), int(b), int(c)
 
 
-def _one_run(
-    params: DCParams,
-    config_index: int,
-    run_index: int,
+def _excluded(run_index: int, exc: DCOptLabError) -> RunSummary:
+    return RunSummary(
+        run=run_index,
+        final_loss=None,
+        final_accuracy=None,
+        epochs_to_threshold=None,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _train_chunk(
+    configs: list[DCParams],
+    jobs: list[tuple[int, int]],
     data_spec: SyntheticSpec,
     train_cfg: TrainConfig,
     sweep_seed: int,
     accuracy_threshold: float,
-) -> RunSummary:
-    data_seed, split_seed, train_seed = run_seeds(sweep_seed, config_index, run_index)
-    try:
-        data = generate(replace(data_spec, seed=data_seed))
-        train_set, test_set = split(data, data_spec.split_fraction, split_seed)
-        traces = train(params, train_set, test_set, replace(train_cfg, seed=train_seed))
-    except DCOptLabError as exc:
-        return RunSummary(
-            run=run_index,
-            final_loss=None,
-            final_accuracy=None,
-            epochs_to_threshold=None,
-            error=f"{type(exc).__name__}: {exc}",
+) -> list[RunSummary]:
+    """Summaries of the (config, run) jobs, in order, trained in lockstep.
+
+    Data, split and the training checks run per job; a job they reject is
+    excluded with their error. The others train together and record test
+    accuracy every epoch; the final loss is taken once, at the end.
+    """
+    summaries: list[RunSummary | None] = [None] * len(jobs)
+    ready, params, train_sets, test_sets, rngs = [], [], [], [], []
+    for job, (i, k) in enumerate(jobs):
+        data_seed, split_seed, train_seed = run_seeds(sweep_seed, i, k)
+        try:
+            data = generate(replace(data_spec, seed=data_seed))
+            train_set, test_set = split(data, data_spec.split_fraction, split_seed)
+            _check_training_sets(train_set, test_set, train_cfg)
+        except DCOptLabError as exc:
+            summaries[job] = _excluded(k, exc)
+            continue
+        ready.append(job)
+        params.append(configs[i])
+        train_sets.append(train_set)
+        test_sets.append(test_set)
+        rngs.append(np.random.default_rng(train_seed))
+    if not ready:
+        return summaries
+
+    all_test_x = np.stack([t.features for t in test_sets])
+    all_test_pos = np.stack([t.labels > 0 for t in test_sets])
+    test_x, test_pos = all_test_x, all_test_pos
+    m_test = all_test_x.shape[1]
+    reached = np.zeros(len(ready), dtype=int)  # first epoch at the threshold, 0 if none
+    final_acc = np.zeros(len(ready))
+    diverged: dict[int, NumericalError] = {}
+    steps = _lockstep(
+        params, np.stack([_signed_features(t) for t in train_sets]), rngs, train_cfg, diverged
+    )
+    live, theta = np.arange(len(ready)), ()  # theta stays () if all diverge in epoch 1
+    for epoch, now_live, theta in steps:
+        if now_live.size != live.size:
+            live = now_live
+            test_x, test_pos = all_test_x[live], all_test_pos[live]
+        # as ``accuracy``: sign(0) counts as +1
+        hits = (np.einsum("rij,rj->ri", test_x, theta) >= 0.0) == test_pos
+        acc = np.count_nonzero(hits, axis=1) / m_test
+        final_acc[live] = acc
+        reached[live[(acc >= accuracy_threshold) & (reached[live] == 0)]] = epoch
+    final_theta = dict(zip(live.tolist(), theta))
+
+    for row, job in enumerate(ready):
+        k = jobs[job][1]
+        if row in diverged:
+            summaries[job] = _excluded(k, diverged[row])
+            continue
+        summaries[job] = RunSummary(
+            run=k,
+            final_loss=empirical_loss(params[row], final_theta[row], train_sets[row]),
+            final_accuracy=float(final_acc[row]),
+            epochs_to_threshold=int(reached[row]) or None,
         )
-    hit = next(
-        (t.epoch for t in traces if t.test_accuracy >= accuracy_threshold), None
-    )
-    last = traces[-1]
-    return RunSummary(
-        run=run_index,
-        final_loss=last.train_loss,
-        final_accuracy=last.test_accuracy,
-        epochs_to_threshold=hit,
-    )
+    return summaries
 
 
 def run_sweep(
@@ -308,13 +395,17 @@ def run_sweep(
     if not runs >= 1:
         raise ValidationError(f"runs must be >= 1, got {runs!r}")
 
+    jobs = [(i, k) for i in range(len(configs)) for k in range(runs)]
+    done: list[RunSummary] = []
+    for start in range(0, len(jobs), _CHUNK):
+        done += _train_chunk(
+            configs, jobs[start:start + _CHUNK], data_spec, train_cfg, seed, accuracy_threshold
+        )
+
     per_config: list[ConfigResult] = []
     excluded_total = 0
     for i, params in enumerate(configs):
-        summaries = [
-            _one_run(params, i, k, data_spec, train_cfg, seed, accuracy_threshold)
-            for k in range(runs)
-        ]
+        summaries = done[i * runs:(i + 1) * runs]
         good = [s.final_accuracy for s in summaries if s.error is None]
         excluded = runs - len(good)
         excluded_total += excluded

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -111,8 +112,12 @@ class TestRates:
         assert run(["rates", "--out", tmp_path / "r.csv", "--z-min", 0.1,
                     "--z-max", 0.9, "--samples", 9]) == 2
 
-    def test_infinite_z_rejected(self, tmp_path):
-        assert run(["rates", "--out", tmp_path / "r.csv", "--z-max", "inf"]) == 2
+    def test_infinite_z_rejected(self, tmp_path, capsys):
+        for bound in ("--z-max=inf", "--z-min=-inf"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+                assert run(["rates", "--out", tmp_path / "r.csv", bound]) == 2
+            assert capsys.readouterr().err == "error: need finite --z-min and --z-max\n"
 
     def test_partial_range_keeps_valid_rows(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -192,6 +197,15 @@ class TestTrain:
         assert run(["train", "--trace-out", tmp_path / "t.csv",
                     "--data", tmp_path / "nope.csv"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--r", "--c", "--d", "--eta"])
+    def test_non_finite_value_is_usage_error(self, flag, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["train", "--trace-out", tmp_path / "t.csv", flag, "inf",
+                        "--m", 60, "--epochs", 2, "--batch-size", 12]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} must be finite") and "Traceback" not in err
+
     def test_preset_flag(self, tmp_path):
         trace = tmp_path / "t.csv"
         assert run(["train", "--trace-out", trace, "--preset", "growing-dc",
@@ -213,6 +227,14 @@ class TestSweep:
         assert result["runs_per_config"] == 3
         _, rows = read_rows(ca)
         assert len(rows) == 8 * 3
+
+    def test_infinite_eta_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert run(["sweep", "--profile", "desk", "--eta", "inf", "--m", 60, "--epochs", 2,
+                    "--batch-size", 12, "--json-out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta must be finite") and "Traceback" not in err
+        assert not out.exists()
 
     def test_table_printed(self, tmp_path, capsys):
         run(["sweep", "--profile", "desk", "--m", 60, "--epochs", 3,

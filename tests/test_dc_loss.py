@@ -42,6 +42,9 @@ class TestDCParams:
             (dict(r=1.0, c=0.0, d=-1.0, p_d=0.5), "d must be"),
             (dict(r=1.0, c=0.0, d=0.0, p_d=0.0), "p_d must be"),
             (dict(r=1.0, c=0.0, d=0.0, p_d=1.0), "p_d must be"),
+            (dict(r=math.inf, c=0.0, d=0.0, p_d=0.5), "r must be finite"),
+            (dict(r=1.0, c=math.inf, d=0.0, p_d=0.5), "c must be finite"),
+            (dict(r=1.0, c=0.0, d=math.inf, p_d=0.5), "d must be finite"),
         ],
     )
     def test_validation_names_the_bound(self, kwargs, fragment):

@@ -32,6 +32,7 @@ from dc_optlab import (
     train_with_weights,
     weights_json,
 )
+from conftest import random_params
 
 PARAMS = DCParams(r=2.0, c=1.0, d=1.0, p_d=0.7)
 NO_DC = DCParams(r=1.0, c=0.0, d=0.0, p_d=0.5)
@@ -195,6 +196,27 @@ class TestTrain:
         assert np.array_equal(theta, manual)
         assert traces[0].train_loss == empirical_loss(NO_DC, manual, tr)
 
+    @pytest.mark.parametrize("mode", [Mode.SGD, Mode.GD])
+    def test_steps_match_the_per_minibatch_loop(self, mode, blobs, rng):
+        # reference: one loss_gradient and gd_step per minibatch of
+        # Dataset.subset rows; training must take the same steps bit for bit
+        tr, te = blobs
+        for _ in range(25):
+            params = random_params(rng)
+            cfg = TrainConfig(eta=0.01, batch_size=16, epochs=3, mode=mode,
+                              seed=int(rng.integers(1000)), init=Init.GAUSSIAN_SCALED)
+            gen = np.random.default_rng(cfg.seed)
+            theta = gen.normal(0.0, 1.0 / math.sqrt(tr.n), size=tr.n)
+            for _ in range(cfg.epochs):
+                batches = [tr]
+                if mode is Mode.SGD:
+                    perm = gen.permutation(tr.m)
+                    batches = [tr.subset(perm[i:i + cfg.batch_size])
+                               for i in range(0, tr.m, cfg.batch_size)]
+                for batch in batches:
+                    theta = gd_step(theta, loss_gradient(params, theta, batch), cfg.eta)
+            assert np.array_equal(train_with_weights(params, tr, te, cfg)[0], theta)
+
     def test_deterministic_given_seed(self, blobs):
         tr, te = blobs
         cfg = TrainConfig(eta=0.01, batch_size=16, epochs=12, seed=99)
@@ -234,6 +256,11 @@ class TestTrain:
         tr, te = blobs
         with pytest.raises(ValidationError):
             train(NO_DC, tr, te, TrainConfig(eta=0.1, batch_size=tr.m + 1, epochs=1, seed=0))
+
+    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(ValidationError, match="eta must be finite"):
+            TrainConfig(eta=eta)
 
     def test_divergence_reports_position(self, blobs):
         tr, te = blobs

@@ -1,23 +1,32 @@
-"""Grid construction, sampling law, sweep aggregation, curve averaging."""
+"""Grid construction, sampling law, sweep aggregation, the lockstep
+training kernel, curve averaging."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dc_optlab.sweep as sweep_module
 from dc_optlab import (
     DCParams,
     EpochTrace,
     GridSpec,
+    Init,
     LossConfigKind,
+    Mode,
+    NumericalError,
     SyntheticSpec,
     TrainConfig,
     ValidationError,
     aggregate_curves,
     build_grid,
+    generate,
     run_seeds,
     run_sweep,
     sample_grid,
+    split,
+    train,
 )
 
 SMALL_GRID = GridSpec(d_steps=2, p_steps=2, r_steps=2, c_steps=2, runs=2, seed=0)
@@ -70,7 +79,7 @@ class TestSampleGrid:
 
     def test_full_fraction_returns_grid_in_order(self):
         grid = build_grid(SMALL_GRID)
-        assert sample_grid(grid, 1.0, seed=9) == grid
+        assert sample_grid(grid, 1.0, seed=9) == list(grid)
 
     def test_deterministic(self):
         grid = build_grid(SMALL_GRID)
@@ -150,6 +159,86 @@ class TestRunSweep:
     def test_empty_configs_rejected(self):
         with pytest.raises(ValidationError):
             run_sweep([], self.DATA, self.CFG, runs=1, seed=0)
+
+
+def reference_run(params, i, k, data_spec, cfg, seed, threshold):
+    """Job (i, k) of a sweep trained on its own by ``train``, summarized as
+    ``run_sweep`` summarizes it: (final_loss, final_accuracy,
+    epochs_to_threshold, error)."""
+    data_seed, split_seed, train_seed = run_seeds(seed, i, k)
+    data = generate(replace(data_spec, seed=data_seed))
+    train_set, test_set = split(data, data_spec.split_fraction, split_seed)
+    try:
+        traces = train(params, train_set, test_set, replace(cfg, seed=train_seed))
+    except NumericalError as exc:
+        return None, None, None, f"NumericalError: {exc}"
+    hit = next((t.epoch for t in traces if t.test_accuracy >= threshold), None)
+    return traces[-1].train_loss, traces[-1].test_accuracy, hit, None
+
+
+class TestLockstepKernel:
+    DATA = SyntheticSpec(m=80, n=2, split_fraction=0.8, seed=0)
+    CONFIGS = [
+        DCParams(r=1.0, c=0.0, d=0.0, p_d=0.5),
+        DCParams(r=4.0, c=0.0, d=0.0, p_d=0.5),
+        DCParams(r=0.1, c=12.0, d=5.0, p_d=0.9),
+        DCParams(r=12.0, c=12.0, d=0.0, p_d=0.1),
+    ]
+    RUNS = 3
+    SEED = 3
+    THRESHOLD = 0.9
+
+    def sweep(self, monkeypatch, cfg, chunk):
+        monkeypatch.setattr(sweep_module, "_CHUNK", chunk)
+        return run_sweep(self.CONFIGS, self.DATA, cfg, runs=self.RUNS, seed=self.SEED,
+                         accuracy_threshold=self.THRESHOLD)
+
+    def assert_matches_reference(self, result, cfg):
+        for i, config in enumerate(result.per_config):
+            for run in config.runs:
+                expected = reference_run(config.params, i, run.run, self.DATA, cfg,
+                                         self.SEED, self.THRESHOLD)
+                got = (run.final_loss, run.final_accuracy, run.epochs_to_threshold, run.error)
+                assert got == expected, (i, run.run)
+
+    @pytest.mark.parametrize("mode", [Mode.SGD, Mode.GD])
+    def test_chunk_size_does_not_change_bytes(self, mode, monkeypatch):
+        cfg = TrainConfig(eta=0.05, batch_size=16, epochs=6, seed=0, mode=mode)
+        jobs = len(self.CONFIGS) * self.RUNS
+        one = self.sweep(monkeypatch, cfg, 1)
+        for chunk in (5, jobs):
+            other = self.sweep(monkeypatch, cfg, chunk)
+            assert other.to_json() == one.to_json()
+            assert other.to_csv() == one.to_csv()
+
+    # the per-job reference traces weights near the float64 limit, whose
+    # theta_norm overflows to inf in np.linalg.norm
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    def test_diverged_job_leaves_the_chunk_alone(self, monkeypatch):
+        # at this step size some jobs diverge at different epochs and
+        # minibatches, and the jobs of config 2 survive
+        cfg = TrainConfig(eta=1e307, batch_size=16, epochs=8, seed=0)
+        one = self.sweep(monkeypatch, cfg, 1)
+        whole = self.sweep(monkeypatch, cfg, len(self.CONFIGS) * self.RUNS)
+        assert whole.to_json() == one.to_json()
+        assert whole.to_csv() == one.to_csv()
+        errors = [run.error for c in whole.per_config for run in c.runs]
+        diverged = {e for e in errors if e is not None}
+        assert 0 < whole.excluded_runs < len(errors)
+        assert len(diverged) > 1  # not all at the same step
+        assert all(e.startswith("NumericalError: non-finite weights at epoch ") for e in diverged)
+        self.assert_matches_reference(whole, cfg)
+
+    @pytest.mark.parametrize("mode, init", [
+        (Mode.GD, Init.ZEROS),
+        (Mode.SGD, Init.GAUSSIAN_SCALED),
+        (Mode.GD, Init.GAUSSIAN_SCALED),
+    ])
+    def test_matches_per_job_train(self, mode, init, monkeypatch):
+        cfg = TrainConfig(eta=0.05, batch_size=16, epochs=6, seed=0, mode=mode, init=init)
+        result = self.sweep(monkeypatch, cfg, 5)
+        assert any(run.epochs_to_threshold for c in result.per_config for run in c.runs)
+        self.assert_matches_reference(result, cfg)
 
 
 class TestAggregateCurves:
