@@ -1,5 +1,9 @@
 """dc_optlab: differential-capability loss family, Lambert-W convergence
-bounds, and a single-neuron GD/SGD experiment harness."""
+bounds, and a single-neuron GD/SGD experiment harness.
+
+The package exports what the demos, the README quick start and the
+acceptance tests use, plus the error classes; everything else is imported
+from its submodule (``dc_optlab.neuron``, ``dc_optlab.sweep``, ...)."""
 
 __version__ = "0.1.0"
 
@@ -12,10 +16,9 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .lambert_w import BRANCH_POINT, w0, w0_log_enclosure
+from .lambert_w import BRANCH_POINT, w0
 from .dc_loss import (
     DCParams,
-    LossConfigKind,
     classify_config,
     log_response_probability,
     loss_derivative,
@@ -24,8 +27,6 @@ from .dc_loss import (
     response_probability,
 )
 from .convergence import (
-    BoundBracket,
-    VerificationReport,
     bracket_curves,
     dc_rate,
     rate_curve,
@@ -33,89 +34,41 @@ from .convergence import (
     theorem_bracket,
     verify_theorem,
 )
-from .data import Dataset, SyntheticSpec, generate, load_csv, save_csv, split
-from .neuron import (
-    EpochTrace,
-    Init,
-    Mode,
-    TrainConfig,
-    accuracy,
-    empirical_loss,
-    gd_step,
-    loss_gradient,
-    margins,
-    min_normalized_margin,
-    save_trace_csv,
-    trace_csv,
-    train,
-    train_with_weights,
-    weights_json,
-)
-from .sweep import (
-    CurveStats,
-    GridSpec,
-    SweepResult,
-    aggregate_curves,
-    build_grid,
-    run_seeds,
-    run_sweep,
-    sample_grid,
-)
+from .data import SyntheticSpec, generate, split
+from .neuron import TrainConfig, save_trace_csv, train
+from .sweep import GridSpec, build_grid, run_sweep, sample_grid
 
 __all__ = [
     "BRANCH_POINT",
-    "BoundBracket",
-    "CurveStats",
     "DCOptLabError",
     "DCParams",
-    "Dataset",
     "DimensionError",
     "DomainError",
     "EmptyDatasetError",
-    "EpochTrace",
     "FormatError",
     "GridSpec",
-    "Init",
-    "LossConfigKind",
-    "Mode",
     "NumericalError",
-    "SweepResult",
     "SyntheticSpec",
     "TrainConfig",
     "ValidationError",
-    "VerificationReport",
-    "accuracy",
-    "aggregate_curves",
     "bracket_curves",
     "build_grid",
     "classify_config",
     "dc_rate",
-    "empirical_loss",
-    "gd_step",
     "generate",
-    "load_csv",
     "log_response_probability",
     "loss_derivative",
-    "loss_gradient",
     "margin_transform",
-    "margins",
-    "min_normalized_margin",
     "per_sample_loss",
     "rate_curve",
     "rate_onset",
     "response_probability",
-    "run_seeds",
     "run_sweep",
     "sample_grid",
-    "save_csv",
     "save_trace_csv",
     "split",
     "theorem_bracket",
-    "trace_csv",
     "train",
-    "train_with_weights",
     "verify_theorem",
     "w0",
-    "w0_log_enclosure",
-    "weights_json",
 ]

@@ -222,10 +222,10 @@ def _cmd_gen_data(args) -> int:
         split_fraction=args.split_fraction,
         seed=args.seed,
     )
-    data = generate(spec)
-    save_csv(data, args.out)
     if bool(args.train_out) != bool(args.test_out):
         raise ValidationError("--train-out and --test-out must be given together")
+    data = generate(spec)
+    save_csv(data, args.out)
     if args.train_out:
         train_set, test_set = split(data, args.split_fraction, args.split_seed)
         save_csv(train_set, args.train_out)
@@ -358,7 +358,7 @@ def _load_grid_spec(path) -> GridSpec:
     if not isinstance(obj, dict):
         raise ValidationError(f"grid spec must be a JSON object, got {obj!r}")
     try:
-        return GridSpec.from_dict(obj)
+        return GridSpec(**obj)
     except TypeError as exc:
         raise ValidationError(f"bad grid spec field: {exc}") from None
 

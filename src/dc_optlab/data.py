@@ -96,20 +96,6 @@ class SyntheticSpec:
                 f"split_fraction must be in (0, 1), got {self.split_fraction!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "center_distance": self.center_distance,
-            "noise_sigma": self.noise_sigma,
-            "split_fraction": self.split_fraction,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SyntheticSpec":
-        return cls(**obj)
-
 
 def generate(spec: SyntheticSpec) -> Dataset:
     """Draw ceil(m/2) positives around +c*(1,..,1) and floor(m/2) negatives

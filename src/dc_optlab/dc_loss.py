@@ -21,7 +21,6 @@ derivative is -exp(-f(t)) up to the constant ln(a*(-b)*r).
 """
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -67,17 +66,6 @@ class DCParams:
         object.__setattr__(self, "a", math.exp(self.eps))
         object.__setattr__(self, "b", math.log(self.p_d) - self.eps)
 
-    def to_json(self) -> str:
-        return json.dumps({"r": self.r, "c": self.c, "d": self.d, "p_d": self.p_d})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DCParams":
-        obj = json.loads(text)
-        try:
-            return cls(r=obj["r"], c=obj["c"], d=obj["d"], p_d=obj["p_d"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed DCParams JSON: {exc}") from exc
-
 
 class LossConfigKind(str, enum.Enum):
     """Configuration taxonomy keyed on (r vs 1, c vs 0)."""
@@ -94,7 +82,8 @@ R_UNIT_TOL = 1e-12
 
 def _shifted_exp(params: DCParams, t):
     # exp(-r*(t-d)), clipped so downstream products stay finite
-    z = -params.r * (np.asarray(t, dtype=float) - params.d)
+    with np.errstate(over="ignore"):
+        z = -params.r * (np.asarray(t, dtype=float) - params.d)
     return np.exp(np.clip(z, -745.0, 709.0))
 
 
@@ -132,6 +121,27 @@ def margin_transform(params: DCParams, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _derivative_constants(params: DCParams) -> tuple[float, float, float, float]:
+    """(r, d, b, k) of ``_dc_derivative`` for params: k = eps + ln(-b) + ln(r),
+    the log of the derivative's scale a*(-b)*r, summed in this order."""
+    return params.r, params.d, params.b, params.eps + math.log(-params.b) + math.log(params.r)
+
+
+def _dc_derivative(t, r, d, b, k):
+    """-exp(k - f(t)) = a*b*r * exp(-f(t)) from the ``_derivative_constants``.
+
+    r, d, b and k are floats, or (R, 1) columns against (R, m) margins t
+    (one row of constants per job); either way each element takes the
+    same operations in the same order, so the bits agree. ``b * u`` may
+    overflow to -inf, which the final exp maps to -0: callers silence
+    the overflow warning (it runs once per minibatch, too often to pay
+    for an ``errstate`` of its own).
+    """
+    s = r * (t - d)
+    u = np.exp(np.minimum(np.maximum(-s, -745.0), 709.0))
+    return -np.exp(np.minimum(k - s + b * u, 709.0))
+
+
 def loss_derivative(params: DCParams, t):
     """d/dt of per_sample_loss: a*b*r * exp(-f(t)), always negative.
 
@@ -139,11 +149,8 @@ def loss_derivative(params: DCParams, t):
     so extreme parameters (a up to e^709) and margins far left of d (where
     -f(t) -> -inf) stay free of overflow and inf*0 artifacts.
     """
-    s = params.r * (np.asarray(t, dtype=float) - params.d)
-    u = np.exp(np.clip(-s, -745.0, 709.0))
     with np.errstate(over="ignore"):
-        log_mag = params.eps + math.log(-params.b) + math.log(params.r) - s + params.b * u
-    out = -np.exp(np.minimum(log_mag, 709.0))
+        out = _dc_derivative(np.asarray(t, dtype=float), *_derivative_constants(params))
     return float(out) if out.ndim == 0 else out
 
 

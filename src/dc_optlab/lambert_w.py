@@ -84,14 +84,3 @@ def w0(x):
             break
 
     return float(w[0]) if scalar else w
-
-
-def w0_log_enclosure(z: float) -> tuple[float, float]:
-    """Logarithmic enclosure of W0: ln z - ln ln z < W0(z) < ln z for z > e.
-
-    Raises ``DomainError`` for z <= e, where the enclosure is not proven.
-    """
-    if not z > np.e:
-        raise DomainError(f"enclosure requires z > e, got {z!r}")
-    lz = np.log(z)
-    return float(lz - np.log(lz)), float(lz)

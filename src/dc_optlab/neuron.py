@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dc_loss import DCParams, loss_derivative, per_sample_loss
+from .dc_loss import (
+    DCParams,
+    _dc_derivative,
+    _derivative_constants,
+    loss_derivative,
+    per_sample_loss,
+)
 from .errors import (
     DimensionError,
     EmptyDatasetError,
@@ -118,19 +124,34 @@ def gd_step(theta: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
         return theta - eta * grad
 
 
+def _hit_rate(scores: np.ndarray, labels: np.ndarray):
+    """Fraction of sign(score) == label along the last axis; sign(0) counts
+    as +1. Takes (m,) or (R, m) scores and labels."""
+    return np.count_nonzero((scores >= 0.0) == (labels > 0), axis=-1) / labels.shape[-1]
+
+
 def accuracy(theta: np.ndarray, data: Dataset) -> float:
     """Fraction of samples with sign(theta . x) == y; sign(0) counts as +1."""
     theta = _check_theta(theta, data)
     if data.m == 0:
         raise EmptyDatasetError("accuracy of an empty dataset is undefined")
-    scores = np.einsum("ij,j->i", data.features, theta)
-    pred = np.where(scores >= 0.0, 1, -1)
-    return float(np.count_nonzero(pred == data.labels) / data.m)
+    return float(_hit_rate(np.einsum("ij,j->i", data.features, theta), data.labels))
+
+
+def _norm(theta: np.ndarray) -> float:
+    """||theta||, also where the squares overflow but theta is finite: then
+    theta is rescaled by max|theta| first."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(theta))
+    if math.isinf(norm) and np.isfinite(theta).all():
+        scale = float(np.max(np.abs(theta)))
+        norm = scale * float(np.linalg.norm(np.divide(theta, scale)))
+    return norm
 
 
 def min_normalized_margin(theta: np.ndarray, data: Dataset) -> float:
     """min_i y_i * (theta . x_i) / ||theta||; 0 when theta is all zeros."""
-    norm = float(np.linalg.norm(theta))
+    norm = _norm(theta)
     if norm == 0.0 or data.m == 0:
         return 0.0
     return float(np.min(margins(theta, data)) / norm)
@@ -177,19 +198,16 @@ def _lockstep(
     ``signed[j]`` (an (m, n) ``_signed_features`` block, the same shape for
     every job), drawing its initial weights and epoch permutations from
     ``rngs[j]``. Every job takes the same steps, with the same bits, as a
-    run of its own: margins, the loss derivative (log-space constant
-    eps + ln(-b) + ln(r) in Python floats, as ``loss_derivative``) and
-    the summed gradient are computed per row with the same elementwise
-    operations and reductions. ``live`` holds the indices of the jobs still
-    training and ``theta`` their (len(live), n) weights. A job whose weights
+    run of its own: margins, the loss derivative (``_dc_derivative`` on
+    per-job constant columns) and the summed gradient are computed per row
+    with the same elementwise operations and reductions. ``live`` holds the
+    indices of the jobs still training and ``theta`` their (len(live), n)
+    weights. A job whose weights
     leave the finite range stops, and ``diverged[j]`` gets a ``NumericalError``
     that names its epoch (and minibatch, for SGD).
     """
     m, n = signed.shape[1:]
-    r = np.array([[p.r] for p in params])
-    d = np.array([[p.d] for p in params])
-    b = np.array([[p.b] for p in params])
-    k = np.array([[p.eps + math.log(-p.b) + math.log(p.r)] for p in params])
+    r, d, b, k = np.array([_derivative_constants(p) for p in params]).T[..., None]
     theta = np.array([_initial_theta(cfg, n, rng) for rng in rngs])
     live = np.arange(len(rngs))
     sgd = cfg.mode is Mode.SGD
@@ -205,10 +223,7 @@ def _lockstep(
         with np.errstate(over="ignore", invalid="ignore"):
             for batch_index, start in enumerate(range(0, m, step)):
                 batch = epoch_rows[:, start:start + step]
-                t = np.einsum("rij,rj->ri", batch, theta)
-                s = r * (t - d)
-                u = np.exp(np.minimum(np.maximum(-s, -745.0), 709.0))
-                deriv = -np.exp(np.minimum(k - s + b * u, 709.0))
+                deriv = _dc_derivative(np.einsum("rij,rj->ri", batch, theta), r, d, b, k)
                 theta = theta - cfg.eta * np.einsum("ri,rij->rj", deriv, batch)
                 if np.isfinite(theta).all():
                     continue
@@ -253,7 +268,7 @@ def train_with_weights(
                 epoch=epoch,
                 train_loss=empirical_loss(params, theta, train_set),
                 test_accuracy=accuracy(theta, test_set),
-                theta_norm=float(np.linalg.norm(theta)),
+                theta_norm=_norm(theta),
                 min_normalized_margin=min_normalized_margin(theta, train_set),
             )
         )

@@ -25,9 +25,9 @@ from .dc_loss import DCParams, LossConfigKind, classify_config
 from .data import SyntheticSpec, csv_text, generate, split
 from .errors import DCOptLabError, NumericalError, ValidationError
 from .neuron import (
-    EpochTrace,
     TrainConfig,
     _check_training_sets,
+    _hit_rate,
     _lockstep,
     _signed_features,
     empirical_loss,
@@ -88,6 +88,7 @@ class GridSpec:
                 raise ValidationError(
                     f"{name} must be two finite numbers lo <= hi, got {rng!r}"
                 )
+            object.__setattr__(self, name, tuple(rng))
         for name in ("d_steps", "p_steps", "r_steps", "c_steps", "runs"):
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
@@ -98,29 +99,6 @@ class GridSpec:
             )
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "d_range": list(self.d_range),
-            "d_steps": self.d_steps,
-            "p_d_range": list(self.p_d_range),
-            "p_steps": self.p_steps,
-            "r_range": list(self.r_range),
-            "r_steps": self.r_steps,
-            "c_range": list(self.c_range),
-            "c_steps": self.c_steps,
-            "pick_fraction": self.pick_fraction,
-            "runs": self.runs,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GridSpec":
-        kwargs = dict(obj)
-        for key in ("d_range", "p_d_range", "r_range", "c_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 def _axis(rng: tuple[float, float], steps: int) -> np.ndarray:
@@ -340,9 +318,8 @@ def _train_chunk(
         return summaries
 
     all_test_x = np.stack([t.features for t in test_sets])
-    all_test_pos = np.stack([t.labels > 0 for t in test_sets])
-    test_x, test_pos = all_test_x, all_test_pos
-    m_test = all_test_x.shape[1]
+    all_test_y = np.stack([t.labels for t in test_sets])
+    test_x, test_y = all_test_x, all_test_y
     reached = np.zeros(len(ready), dtype=int)  # first epoch at the threshold, 0 if none
     final_acc = np.zeros(len(ready))
     diverged: dict[int, NumericalError] = {}
@@ -353,10 +330,8 @@ def _train_chunk(
     for epoch, now_live, theta in steps:
         if now_live.size != live.size:
             live = now_live
-            test_x, test_pos = all_test_x[live], all_test_pos[live]
-        # as ``accuracy``: sign(0) counts as +1
-        hits = (np.einsum("rij,rj->ri", test_x, theta) >= 0.0) == test_pos
-        acc = np.count_nonzero(hits, axis=1) / m_test
+            test_x, test_y = all_test_x[live], all_test_y[live]
+        acc = _hit_rate(np.einsum("rij,rj->ri", test_x, theta), test_y)
         final_acc[live] = acc
         reached[live[(acc >= accuracy_threshold) & (reached[live] == 0)]] = epoch
     final_theta = dict(zip(live.tolist(), theta))
@@ -394,6 +369,10 @@ def run_sweep(
         raise ValidationError("configs must be nonempty")
     if not runs >= 1:
         raise ValidationError(f"runs must be >= 1, got {runs!r}")
+    if not 0 <= accuracy_threshold <= 1:
+        raise ValidationError(
+            f"accuracy_threshold must be in [0, 1], got {accuracy_threshold!r}"
+        )
 
     jobs = [(i, k) for i in range(len(configs)) for k in range(runs)]
     done: list[RunSummary] = []
@@ -442,37 +421,4 @@ def run_sweep(
         runs_per_config=runs,
         excluded_runs=excluded_total,
         seed=seed,
-    )
-
-
-@dataclass
-class CurveStats:
-    """Per-epoch mean and sample std of train loss and test accuracy."""
-
-    epochs: np.ndarray
-    mean_train_loss: np.ndarray
-    std_train_loss: np.ndarray
-    mean_test_accuracy: np.ndarray
-    std_test_accuracy: np.ndarray
-
-
-def aggregate_curves(traces: list[list[EpochTrace]]) -> CurveStats:
-    """Average epoch-aligned traces; std is the sample deviation (0 for a
-    single trace). Raises ``ValidationError`` on ragged input."""
-    if not traces:
-        raise ValidationError("need at least one trace")
-    length = len(traces[0])
-    if any(len(t) != length for t in traces):
-        raise ValidationError("traces must all have the same length")
-    loss = np.array([[t.train_loss for t in tr] for tr in traces])
-    acc = np.array([[t.test_accuracy for t in tr] for tr in traces])
-    ddof = 1 if len(traces) > 1 else 0
-    std_loss = np.std(loss, axis=0, ddof=ddof) if len(traces) > 1 else np.zeros(length)
-    std_acc = np.std(acc, axis=0, ddof=ddof) if len(traces) > 1 else np.zeros(length)
-    return CurveStats(
-        epochs=np.array([t.epoch for t in traces[0]]),
-        mean_train_loss=np.mean(loss, axis=0),
-        std_train_loss=std_loss,
-        mean_test_accuracy=np.mean(acc, axis=0),
-        std_test_accuracy=std_acc,
     )

@@ -43,6 +43,14 @@ class TestGenData:
         code = run(["gen-data", "--out", tmp_path / "d.csv", "--train-out", tmp_path / "t.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("half", ["--train-out", "--test-out"])
+    def test_half_split_flags_write_nothing(self, half, tmp_path, capsys):
+        assert run(["gen-data", "--out", tmp_path / "a.csv", half, tmp_path / "t.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --train-out and --test-out must be given together\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCurves:
     def test_no_dc_prob_anchor_at_difficulty(self, tmp_path):
@@ -211,6 +219,21 @@ class TestTrain:
         assert run(["train", "--trace-out", trace, "--preset", "growing-dc",
                     "--m", 60, "--epochs", 3, "--batch-size", 12]) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_norm_of_huge_finite_weights(self, tmp_path):
+        # theta ends near (3.4e301, 4.3e301): finite, but its squares overflow
+        trace, weights = tmp_path / "t.csv", tmp_path / "w.json"
+        assert run(["train", "--trace-out", trace, "--weights-out", weights,
+                    "--eta", "1e300", "--epochs", 3]) == 0
+        theta = json.loads(weights.read_text())["theta"]
+        assert all(math.isfinite(v) and v > 1e301 for v in theta)
+        header, rows = read_rows(trace)
+        norm = float(rows[-1][header.index("theta_norm")])
+        margin = float(rows[-1][header.index("min_normalized_margin")])
+        assert norm == pytest.approx(5.4766807442979e301, rel=1e-13)
+        assert norm == pytest.approx(math.hypot(*theta), rel=1e-15)
+        assert margin != 0.0 and math.isfinite(margin)
+
 
 class TestSweep:
     def test_desk_profile_deterministic_and_sized(self, tmp_path):
@@ -234,6 +257,16 @@ class TestSweep:
                     "--batch-size", 12, "--json-out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: eta must be finite") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "7", "-0.5"])
+    def test_bad_accuracy_threshold_is_usage_error(self, threshold, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert run(["sweep", "--profile", "desk", "--m", 60, "--epochs", 2,
+                    "--batch-size", 12, "--accuracy-threshold", threshold,
+                    "--json-out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: accuracy_threshold must be in [0, 1]")
         assert not out.exists()
 
     def test_table_printed(self, tmp_path, capsys):

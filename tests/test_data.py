@@ -3,17 +3,8 @@
 import numpy as np
 import pytest
 
-from dc_optlab import (
-    Dataset,
-    FormatError,
-    SyntheticSpec,
-    ValidationError,
-    generate,
-    load_csv,
-    save_csv,
-    split,
-)
-from dc_optlab.data import csv_text, dataset_csv
+from dc_optlab import FormatError, SyntheticSpec, ValidationError, generate, split
+from dc_optlab.data import Dataset, csv_text, dataset_csv, load_csv, save_csv
 
 
 class TestDataset:

@@ -8,27 +8,29 @@ import pytest
 
 from dc_optlab import (
     DCParams,
-    Dataset,
     DimensionError,
     EmptyDatasetError,
-    Init,
-    Mode,
     NumericalError,
     SyntheticSpec,
     TrainConfig,
     ValidationError,
+    generate,
+    loss_derivative,
+    per_sample_loss,
+    split,
+    train,
+)
+from dc_optlab.data import Dataset
+from dc_optlab.neuron import (
+    Init,
+    Mode,
     accuracy,
     empirical_loss,
     gd_step,
-    generate,
-    loss_derivative,
     loss_gradient,
     margins,
     min_normalized_margin,
-    per_sample_loss,
-    split,
     trace_csv,
-    train,
     train_with_weights,
     weights_json,
 )

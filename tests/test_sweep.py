@@ -1,42 +1,31 @@
 """Grid construction, sampling law, sweep aggregation, the lockstep
-training kernel, curve averaging."""
+training kernel."""
 
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import dc_optlab.sweep as sweep_module
 from dc_optlab import (
     DCParams,
-    EpochTrace,
     GridSpec,
-    Init,
-    LossConfigKind,
-    Mode,
     NumericalError,
     SyntheticSpec,
     TrainConfig,
     ValidationError,
-    aggregate_curves,
     build_grid,
     generate,
-    run_seeds,
     run_sweep,
     sample_grid,
     split,
     train,
 )
+from dc_optlab.dc_loss import LossConfigKind
+from dc_optlab.neuron import Init, Mode
+from dc_optlab.sweep import run_seeds
 
 SMALL_GRID = GridSpec(d_steps=2, p_steps=2, r_steps=2, c_steps=2, runs=2, seed=0)
-
-
-def trace(epoch, loss, acc):
-    return EpochTrace(
-        epoch=epoch, train_loss=loss, test_accuracy=acc, theta_norm=1.0,
-        min_normalized_margin=0.0,
-    )
 
 
 class TestBuildGrid:
@@ -65,6 +54,13 @@ class TestBuildGrid:
     def test_bad_steps_rejected(self):
         with pytest.raises(ValidationError):
             GridSpec(d_steps=0)
+
+    def test_list_ranges_stored_as_tuples(self):
+        # a --grid-spec JSON file gives its ranges as lists
+        spec = GridSpec(d_range=[0, 2], p_d_range=[0.2, 0.8], r_range=[1, 3], c_range=[0, 1])
+        assert spec == GridSpec(d_range=(0, 2), p_d_range=(0.2, 0.8), r_range=(1, 3),
+                                c_range=(0, 1))
+        assert spec.d_range == (0, 2) and hash(spec) is not None
 
 
 class TestSampleGrid:
@@ -211,9 +207,8 @@ class TestLockstepKernel:
             assert other.to_json() == one.to_json()
             assert other.to_csv() == one.to_csv()
 
-    # the per-job reference traces weights near the float64 limit, whose
-    # theta_norm overflows to inf in np.linalg.norm
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    # the per-job reference traces weights near the float64 limit
+    @pytest.mark.filterwarnings("error")
     def test_diverged_job_leaves_the_chunk_alone(self, monkeypatch):
         # at this step size some jobs diverge at different epochs and
         # minibatches, and the jobs of config 2 survive
@@ -240,30 +235,3 @@ class TestLockstepKernel:
         assert any(run.epochs_to_threshold for c in result.per_config for run in c.runs)
         self.assert_matches_reference(result, cfg)
 
-
-class TestAggregateCurves:
-    def test_identical_traces(self):
-        tr = [trace(1, -1.0, 0.5), trace(2, -2.0, 0.75)]
-        stats = aggregate_curves([tr, tr, tr])
-        assert np.array_equal(stats.mean_train_loss, [-1.0, -2.0])
-        assert np.array_equal(stats.std_train_loss, [0.0, 0.0])
-        assert np.array_equal(stats.mean_test_accuracy, [0.5, 0.75])
-
-    def test_two_point_statistics(self):
-        a = [trace(1, -1.0, 0.4)]
-        b = [trace(1, -3.0, 0.6)]
-        stats = aggregate_curves([a, b])
-        assert stats.mean_test_accuracy[0] == pytest.approx(0.5)
-        assert stats.std_test_accuracy[0] == pytest.approx(math.sqrt(0.02), rel=1e-12)
-
-    def test_single_trace_std_zero(self):
-        stats = aggregate_curves([[trace(1, -1.0, 0.5)]])
-        assert stats.std_train_loss[0] == 0.0
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ValidationError):
-            aggregate_curves([[trace(1, -1.0, 0.5)], [trace(1, -1.0, 0.5), trace(2, -1.0, 0.5)]])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            aggregate_curves([])
