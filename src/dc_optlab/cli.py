@@ -249,6 +249,8 @@ def _cmd_curves(args) -> int:
         raise ValidationError(f"--samples must be >= 2, got {args.samples}")
     if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)) or args.t_min >= args.t_max:
         raise ValidationError("need finite --t-min < --t-max")
+    if not math.isfinite(args.t_max - args.t_min):
+        raise ValidationError("--t-max - --t-min must be finite")
 
     configs: list[tuple[str, DCParams]] = []
     presets = args.preset or []
@@ -282,6 +284,8 @@ def _cmd_rates(args) -> int:
         raise ValidationError(f"--samples must be >= 2, got {args.samples}")
     if not (math.isfinite(args.z_min) and math.isfinite(args.z_max)):
         raise ValidationError("need finite --z-min and --z-max")
+    if not math.isfinite(args.z_max - args.z_min):
+        raise ValidationError("--z-max - --z-min must be finite")
     params = _params_from_args(args)
     # DomainError if no z of the grid is valid
     z, g = rate_curve(params, np.linspace(args.z_min, args.z_max, args.samples))

@@ -115,8 +115,8 @@ def per_sample_loss(params: DCParams, t):
 
 def margin_transform(params: DCParams, t):
     """f(t) = r*(t-d) - b*exp(-r*(t-d)); equals -b > 0 at t = d."""
-    s = params.r * (np.asarray(t, dtype=float) - params.d)
     with np.errstate(over="ignore"):
+        s = params.r * (np.asarray(t, dtype=float) - params.d)
         out = s - params.b * np.exp(np.clip(-s, -745.0, 709.0))
     return float(out) if out.ndim == 0 else out
 

@@ -8,15 +8,25 @@ regime-dependent initial guess:
 * log(1 + x) for 0.25 <= x <= e,
 * the asymptotic log(x) - log(log(x)) for x > e.
 
-Halley converges cubically; the iteration stops when the step drops below
-1e-15 * (1 + |w|) and is capped at 50 rounds. Inputs within 1e-12 below
--1/e are clamped to the branch point (callers hit it through rounding),
-anything lower raises ``DomainError``.
+Halley converges cubically; the iteration stops when every step drops
+below 1e-15 * (1 + |w|) and is capped at 50 rounds. An element whose update
+leaves it unchanged is at a fixed point (its step is under half an ulp of
+w, so below the tolerance) and is retired from the working arrays; later
+rounds run only on the elements still moving. Arguments within ~1e-3 of
+-1/e can alternate between neighbouring doubles without meeting the
+tolerance, so the cap is reached on most certificate grids, but only those
+few elements pay for it, and the results are bit-identical to iterating the
+whole array. When the cap is reached, the elements still moving must
+satisfy |w*exp(w) - x| <= 1e-12 * max(1, |x|); otherwise ``NumericalError``
+names the first such argument.
+
+Inputs within 1e-12 below -1/e are clamped to the branch point (callers hit
+it through rounding), anything lower raises ``DomainError``.
 """
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 BRANCH_POINT = -1.0 / np.e
 DOMAIN_SLACK = 1e-12
@@ -48,12 +58,29 @@ def _initial_guess(x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _halley_round(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One Halley round for w*exp(w) = x: the updated w, and whether every
+    step met the tolerance |step| <= 1e-15 * (1 + |w|)."""
+    ew = np.exp(w)
+    f = w * ew - x
+    wp1 = w + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+        step = f / denom
+    # at the branch point itself (wp1 == 0) the guess is already exact
+    step = np.where(np.isfinite(step), step, 0.0)
+    new = w - step
+    return new, bool(np.all(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(new))))
+
+
 def w0(x):
     """Evaluate W0 at ``x`` (scalar or array_like).
 
     Returns w with |w*exp(w) - x| <= 1e-12 * max(1, |x|). Raises
     ``DomainError`` for x < -1/e - 1e-12; values inside the slack are
-    treated as the branch point itself and map to -1.
+    treated as the branch point itself and map to -1. Raises
+    ``NumericalError`` if an element still moving after the last Halley
+    round misses that residual bound.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
@@ -67,20 +94,30 @@ def w0(x):
             f"w0 argument {bad!r} is below the branch point -1/e ~ {BRANCH_POINT!r}"
         )
 
-    xc = np.maximum(arr, BRANCH_POINT)
-    w = _initial_guess(xc)
+    xa = np.maximum(arr, BRANCH_POINT)
+    w = _initial_guess(xa)
 
+    # idx, wa, xa: positions, iterates and arguments of the elements still
+    # moving. An element left unchanged by its update is at a fixed point:
+    # each later round would recompute the same sub-half-ulp step, which
+    # passes the step test and changes no bit.
+    idx, wa = np.arange(w.size), w
     for _ in range(_MAX_ITER):
-        ew = np.exp(w)
-        f = w * ew - xc
-        wp1 = w + 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-            step = f / denom
-        # at the branch point itself (wp1 == 0) the guess is already exact
-        step = np.where(np.isfinite(step), step, 0.0)
-        w = w - step
-        if np.all(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(w))):
+        new, settled = _halley_round(wa, xa)
+        if settled:
+            w[idx] = new
             break
+        moving = new != wa
+        idx, wa, xa = idx[moving], new[moving], xa[moving]
+        w[idx] = wa
+        del new  # before the next round allocates its temporaries
+    else:
+        with np.errstate(over="ignore"):
+            bad = np.abs(wa * np.exp(wa) - xa) > 1e-12 * np.maximum(1.0, np.abs(xa))
+        if bad.any():
+            raise NumericalError(
+                f"w0 did not converge in {_MAX_ITER} Halley rounds at "
+                f"x={float(arr[idx[bad][0]])!r}"
+            )
 
     return float(w[0]) if scalar else w

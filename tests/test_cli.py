@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from dc_optlab.cli import main
@@ -94,6 +95,13 @@ class TestCurves:
     def test_malformed_params_rejected(self, tmp_path):
         assert run(["curves", "--out", tmp_path / "c.csv", "--params", "1,2,3"]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_span_beyond_float_range_rejected(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run(["curves", "--out", out, "--t-min=-1e308", "--t-max=1e308"]) == 2
+        assert capsys.readouterr().err == "error: --t-max - --t-min must be finite\n"
+        assert not out.exists()
+
 
 class TestRates:
     def test_dc_rate_below_default(self, tmp_path):
@@ -127,12 +135,45 @@ class TestRates:
                 assert run(["rates", "--out", tmp_path / "r.csv", bound]) == 2
             assert capsys.readouterr().err == "error: need finite --z-min and --z-max\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_span_beyond_float_range_rejected(self, tmp_path, capsys):
+        for lo, hi in ((-1e308, 1e308), (1e308, -1e308)):
+            assert run(["rates", "--out", tmp_path / "r.csv", f"--z-min={lo}", f"--z-max={hi}"]) == 2
+            assert capsys.readouterr().err == "error: --z-max - --z-min must be finite\n"
+
     def test_partial_range_keeps_valid_rows(self, tmp_path):
         out = tmp_path / "r.csv"
         run(["rates", "--out", out, "--z-min", 0.5, "--z-max", 3.0, "--samples", 26])
         _, rows = read_rows(out)
         assert 0 < len(rows) < 26
         assert all(float(r[0]) >= 1.0 for r in rows)
+
+
+EDGE_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-0.0", "5e-324", "abc"]
+
+
+class TestNumericFlagFuzz:
+    """Seeded fuzz of the numeric flags of ``rates`` and ``curves`` over edge
+    values: every input ends in a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("rates", ["--r", "--c", "--d", "--p-d", "--z-min", "--z-max", "--samples"]),
+        ("curves", ["--t-min", "--t-max", "--samples", "--params"]),
+    ])
+    def test_exit_code_documented_without_traceback(self, command, flags, tmp_path, capsys):
+        rng = np.random.default_rng(20240801)
+        for _ in range(100):
+            argv = [command, "--out", str(tmp_path / "out.csv")]
+            for flag in flags:
+                if rng.random() < 0.5:
+                    n = 4 if flag == "--params" else 1
+                    argv.append(f"{flag}={','.join(rng.choice(EDGE_VALUES, n))}")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a non-number
+                code = exc.code
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in capsys.readouterr().err, argv
 
 
 class TestVerify:

@@ -171,6 +171,12 @@ class TestMarginTransform:
         p = DCParams(r=1.0, c=0.0, d=0.0, p_d=math.exp(-1.0))
         assert margin_transform(p, 1.0) == pytest.approx(1.0 + math.exp(-1.0), rel=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_margins_near_the_float_limit_are_silent(self):
+        # r * (t - d) overflows to +-inf
+        p = DCParams(r=12.0, c=0.0, d=1.0, p_d=0.5)
+        assert np.array_equal(margin_transform(p, np.array([-1e308, 1e308])), [-np.inf, np.inf])
+
 
 class TestClassifyConfig:
     @pytest.mark.parametrize(

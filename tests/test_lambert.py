@@ -6,8 +6,62 @@ import math
 import numpy as np
 import pytest
 
-from dc_optlab import BRANCH_POINT, DomainError, w0
+from dc_optlab import BRANCH_POINT, DomainError, NumericalError, w0
+from dc_optlab import convergence, lambert_w
+from dc_optlab.sweep import GridSpec, build_grid, sample_grid
+from dc_optlab.verification import identity_grid
 from conftest import w0_bisect
+
+
+def w0_whole_array(x):
+    """The Halley loop that iterates every element until all meet the step
+    tolerance, kept as the reference for ``w0``'s fixed-point retirement.
+    Returns (w, rounds run)."""
+    xc = np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), BRANCH_POINT)
+    w = lambert_w._initial_guess(xc)
+    for rounds in range(1, lambert_w._MAX_ITER + 1):
+        ew = np.exp(w)
+        f = w * ew - xc
+        wp1 = w + 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+            step = f / denom
+        step = np.where(np.isfinite(step), step, 0.0)
+        w = w - step
+        if np.all(np.abs(step) <= lambert_w._STEP_TOL * (1.0 + np.abs(w))):
+            break
+    return w, rounds
+
+
+# the z grid of the theorem suite and of the benchmark's certificate
+THEOREM_Z = np.geomspace(np.nextafter(math.e, math.inf), 50.0, 200)
+
+
+def paper_sample_b(seed):
+    spec = GridSpec()
+    return np.unique([p.b for p in sample_grid(build_grid(spec), spec.pick_fraction, seed)])
+
+
+def certify_arguments(seed):
+    """The W0 arguments ``verify_theorem`` evaluates for a paper sample's b
+    values against the theorem z grid."""
+    b = np.repeat(paper_sample_b(seed), THEOREM_Z.size)
+    z = np.tile(THEOREM_Z, b.size // THEOREM_Z.size)
+    keep = (z > math.e) & (z >= np.log(-b) + 1.0 + 1e-9)
+    return b[keep] * np.exp(-z[keep])
+
+
+def mixed_regimes(seed):
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([
+        BRANCH_POINT + rng.uniform(0.0, 1e-3, 5000),
+        BRANCH_POINT + 10.0 ** rng.uniform(-15.0, -1.0, 5000),
+        rng.uniform(-0.25, 0.25, 5000),
+        rng.uniform(0.25, math.e, 5000),
+        10.0 ** rng.uniform(0.5, 300.0, 5000),
+    ])
+    rng.shuffle(x)
+    return x
 
 
 class TestW0Anchors:
@@ -92,3 +146,43 @@ class TestLogEnclosure:
         w = w0(z)
         assert np.all((lo < w) & (w < lz))
         assert np.all(lo > 0)
+
+
+class TestFixedPointRetirement:
+    """``w0`` drops an element from its Halley loop once an update leaves it
+    unchanged; the bits and the round count must match the whole-array loop."""
+
+    @pytest.mark.parametrize("inputs, rounds", [
+        # a seeded paper sample has arguments near -1/e that never meet the
+        # step tolerance, so both loops run every round
+        (lambda: certify_arguments(0), lambert_w._MAX_ITER),
+        (identity_grid, lambert_w._MAX_ITER),
+        (lambda: BRANCH_POINT + np.geomspace(1e-12, -BRANCH_POINT - 1e-9, 2000),
+         lambert_w._MAX_ITER),
+        (lambda: mixed_regimes(20240801), lambert_w._MAX_ITER),
+        (lambda: np.geomspace(math.e * (1.0 + 1e-9), 1e6, 2000), 4),
+    ], ids=["certify", "identity_grid", "near_branch", "mixed", "large_z"])
+    def test_bit_equal_to_whole_array_loop(self, inputs, rounds):
+        x = inputs()
+        ref, ran = w0_whole_array(x)
+        assert ran == rounds
+        assert np.array_equal(w0(x).view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("x", [0.0, math.e, -1.0 / math.e, -1.0 / math.e - 1e-13, 1e300])
+    def test_scalars_bit_equal(self, x):
+        ref, _ = w0_whole_array(x)
+        assert np.array_equal(np.float64(w0(x)).view(np.int64), ref[0].view(np.int64))
+
+    def test_certificate_json_unchanged(self, monkeypatch):
+        b = paper_sample_b(0)
+        report = convergence.verify_theorem(b, THEOREM_Z).to_json()
+        monkeypatch.setattr(convergence, "w0", lambda x: w0_whole_array(x)[0])
+        assert convergence.verify_theorem(b, THEOREM_Z).to_json() == report
+
+
+class TestW0NonConvergence:
+    def test_unsettled_elements_raise(self, monkeypatch):
+        # one Halley round leaves 1e100 and 1e6 off by more than the contract
+        monkeypatch.setattr(lambert_w, "_MAX_ITER", 1)
+        with pytest.raises(NumericalError, match=r"x=1e\+100"):
+            w0(np.array([0.0, 1e100, 1e6]))
