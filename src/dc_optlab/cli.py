@@ -39,9 +39,11 @@ from .errors import (
     DomainError,
     FormatError,
     ValidationError,
+    check_number,
 )
 from .neuron import (
     Init,
+    TRACE_HEADER,
     Mode,
     TrainConfig,
     save_trace_csv,
@@ -225,11 +227,12 @@ def _cmd_gen_data(args) -> int:
     if bool(args.train_out) != bool(args.test_out):
         raise ValidationError("--train-out and --test-out must be given together")
     data = generate(spec)
-    save_csv(data, args.out)
+    outputs = [(data, args.out)]
     if args.train_out:
         train_set, test_set = split(data, args.split_fraction, args.split_seed)
-        save_csv(train_set, args.train_out)
-        save_csv(test_set, args.test_out)
+        outputs += [(train_set, args.train_out), (test_set, args.test_out)]
+    for dataset, path in outputs:
+        save_csv(dataset, path)
     return EXIT_OK
 
 
@@ -245,8 +248,7 @@ def _parse_params_csv(text: str) -> DCParams:
 
 
 def _cmd_curves(args) -> int:
-    if args.samples < 2:
-        raise ValidationError(f"--samples must be >= 2, got {args.samples}")
+    check_number("--samples", args.samples, 2, math.inf, "[)", integer=True)
     if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)) or args.t_min >= args.t_max:
         raise ValidationError("need finite --t-min < --t-max")
     if not math.isfinite(args.t_max - args.t_min):
@@ -280,8 +282,7 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    if args.samples < 2:
-        raise ValidationError(f"--samples must be >= 2, got {args.samples}")
+    check_number("--samples", args.samples, 2, math.inf, "[)", integer=True)
     if not (math.isfinite(args.z_min) and math.isfinite(args.z_max)):
         raise ValidationError("need finite --z-min and --z-max")
     if not math.isfinite(args.z_max - args.z_min):
@@ -469,7 +470,7 @@ def _cmd_plot(args) -> int:
         epoch = _float_col(rows, header, "epoch")
         series = [
             Series.of(name, epoch, _float_col(rows, header, name))
-            for name in ("train_loss", "test_accuracy", "theta_norm", "min_normalized_margin")
+            for name in TRACE_HEADER[1:]
             if name in header
         ]
         svg = render_line_chart(series, title="training trace", x_label="epoch", y_label="value")

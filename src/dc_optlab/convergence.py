@@ -16,7 +16,7 @@ grid and reports worst-case margins.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,9 +53,17 @@ def dc_rate(params: DCParams, z):
 
 def _bracket(b, z):
     """The theorem's enclosure of W0(b*exp(-z)) + z, as (lower, upper):
-    b/z + z and b*(ln z - z)/(z*ln z) + z. Elementwise over arrays."""
+    b/z + z and b*(ln z - z)/(z*ln z) + z. Elementwise over arrays; where
+    z*ln z overflows (z above about 1e305) the upper bound takes its equal
+    form b/z - b/ln z + z instead."""
     lz = np.log(z)
-    return b / z + z, b * (lz - z) / (z * lz) + z
+    with np.errstate(over="ignore", invalid="ignore"):
+        zlz = z * lz
+        upper = b * (lz - z) / zlz + z
+        big = np.isinf(zlz)
+        if big.any():
+            upper = np.where(big, b / z - b / lz + z, upper)
+    return b / z + z, upper
 
 
 @dataclass(frozen=True)
@@ -105,17 +113,6 @@ class InequalityCheck:
     worst_pair: tuple[float, float] | None
     failures: list[dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "passed": self.passed,
-            "failed": self.failed,
-            "worst_margin": self.worst_margin,
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "failures": self.failures,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -134,7 +131,7 @@ class VerificationReport:
             "checked": self.checked,
             "filtered_out": self.filtered_out,
             "all_passed": self.all_passed,
-            "inequalities": [c.to_dict() for c in self.inequalities],
+            "inequalities": [asdict(c) for c in self.inequalities],
         }
 
     def to_json(self, indent: int = 2) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_number
 
 FLOAT_FMT = "{:.17g}"
 
@@ -81,20 +81,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.m >= 1:
-            raise ValidationError(f"m must be >= 1, got {self.m!r}")
-        if not self.n >= 1:
-            raise ValidationError(f"n must be >= 1, got {self.n!r}")
-        if not self.center_distance > 0:
-            raise ValidationError(
-                f"center_distance must be > 0, got {self.center_distance!r}"
-            )
-        if not self.noise_sigma > 0:
-            raise ValidationError(f"noise_sigma must be > 0, got {self.noise_sigma!r}")
-        if not 0 < self.split_fraction < 1:
-            raise ValidationError(
-                f"split_fraction must be in (0, 1), got {self.split_fraction!r}"
-            )
+        check_number("m", self.m, 1, math.inf, "[)", integer=True)
+        check_number("n", self.n, 1, math.inf, "[)", integer=True)
+        check_number("center_distance", self.center_distance, 0, math.inf)
+        check_number("noise_sigma", self.noise_sigma, 0, math.inf)
+        check_number("split_fraction", self.split_fraction, 0, 1)
+        check_number("seed", self.seed, 0, math.inf, "[)", integer=True)
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
@@ -109,8 +101,10 @@ def generate(spec: SyntheticSpec) -> Dataset:
     n_neg = spec.m // 2
     center = spec.center_distance * np.ones(spec.n)
 
-    pos = center + spec.noise_sigma * rng.standard_normal((n_pos, spec.n))
-    neg = -center + spec.noise_sigma * rng.standard_normal((n_neg, spec.n))
+    # a sigma or center near the float64 limit overflows: Dataset rejects it
+    with np.errstate(over="ignore"):
+        pos = center + spec.noise_sigma * rng.standard_normal((n_pos, spec.n))
+        neg = -center + spec.noise_sigma * rng.standard_normal((n_neg, spec.n))
     feats = np.vstack([pos, neg])
     labs = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(n_neg, dtype=int)])
 
@@ -120,8 +114,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
 def split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded-permutation split: train gets ceil(fraction*m) samples."""
-    if not 0 < fraction < 1:
-        raise ValidationError(f"fraction must be in (0, 1), got {fraction!r}")
+    check_number("fraction", fraction, 0, 1)
+    check_number("seed", seed, 0, math.inf, "[)", integer=True)
     if data.m < 2:
         raise ValidationError(f"need m >= 2 to split, got m={data.m}")
     perm = np.random.default_rng(seed).permutation(data.m)

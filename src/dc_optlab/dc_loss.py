@@ -22,11 +22,12 @@ derivative is -exp(-f(t)) up to the constant ln(a*(-b)*r).
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,10 @@ class DCParams:
     b: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise ValidationError(f"r must be finite and > 0, got {self.r!r}")
-        if not (self.c >= 0 and math.isfinite(self.c)):
-            raise ValidationError(f"c must be finite and >= 0, got {self.c!r}")
-        if not (self.d >= 0 and math.isfinite(self.d)):
-            raise ValidationError(f"d must be finite and >= 0, got {self.d!r}")
-        if not 0 < self.p_d < 1:
-            raise ValidationError(f"p_d must be in (0, 1), got {self.p_d!r}")
+        check_number("r", self.r, 0, math.inf)
+        check_number("c", self.c, 0, math.inf, "[)")
+        check_number("d", self.d, 0, math.inf, "[)")
+        check_number("p_d", self.p_d, 0, 1)
         object.__setattr__(self, "eps", self.c / self.r)
         if self.eps > 709.0:
             raise ValidationError(
@@ -114,10 +111,20 @@ def per_sample_loss(params: DCParams, t):
 
 
 def margin_transform(params: DCParams, t):
-    """f(t) = r*(t-d) - b*exp(-r*(t-d)); equals -b > 0 at t = d."""
+    """f(t) = r*(t-d) - b*exp(-r*(t-d)); equals -b > 0 at t = d.
+
+    Where -s = -r*(t-d) > 709, exp(-s) overflows, so f is taken as
+    s + exp(ln(-b) - s), with s = -inf replaced by the most negative
+    float: it overflows to +inf only where f does.
+    """
     with np.errstate(over="ignore"):
         s = params.r * (np.asarray(t, dtype=float) - params.d)
-        out = s - params.b * np.exp(np.clip(-s, -745.0, 709.0))
+        s_finite = np.maximum(s, -sys.float_info.max)
+        out = np.where(
+            -s > 709.0,
+            s_finite + np.exp(math.log(-params.b) - s_finite),
+            s - params.b * np.exp(np.clip(-s, -745.0, 709.0)),
+        )
     return float(out) if out.ndim == 0 else out
 
 

@@ -12,7 +12,7 @@ are bit-identical.
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
     EmptyDatasetError,
     NumericalError,
     ValidationError,
+    check_number,
 )
 from .data import Dataset, csv_text
 
@@ -54,12 +55,10 @@ class TrainConfig:
     init: Init = Init.ZEROS
 
     def __post_init__(self):
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValidationError(f"eta must be finite and > 0, got {self.eta!r}")
-        if not self.batch_size >= 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if not self.epochs >= 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs!r}")
+        check_number("eta", self.eta, 0, math.inf)
+        check_number("batch_size", self.batch_size, 1, math.inf, "[)", integer=True)
+        check_number("epochs", self.epochs, 1, math.inf, "[)", integer=True)
+        check_number("seed", self.seed, 0, math.inf, "[)", integer=True)
         object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "init", Init(self.init))
 
@@ -287,17 +286,11 @@ def train(
     return train_with_weights(params, train_set, test_set, cfg)[1]
 
 
-TRACE_HEADER = ("epoch", "train_loss", "test_accuracy", "theta_norm", "min_normalized_margin")
+TRACE_HEADER = tuple(f.name for f in fields(EpochTrace))
 
 
 def trace_csv(traces: list[EpochTrace]) -> str:
-    return csv_text(
-        TRACE_HEADER,
-        (
-            (t.epoch, t.train_loss, t.test_accuracy, t.theta_norm, t.min_normalized_margin)
-            for t in traces
-        ),
-    )
+    return csv_text(TRACE_HEADER, (astuple(t) for t in traces))
 
 
 def save_trace_csv(traces: list[EpochTrace], path) -> None:

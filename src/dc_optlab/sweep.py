@@ -17,13 +17,13 @@ import json
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .dc_loss import DCParams, LossConfigKind, classify_config
 from .data import SyntheticSpec, csv_text, generate, split
-from .errors import DCOptLabError, NumericalError, ValidationError
+from .errors import DCOptLabError, NumericalError, ValidationError, check_number
 from .neuron import (
     TrainConfig,
     _check_training_sets,
@@ -45,14 +45,6 @@ BEST_FAMILIES = (
     LossConfigKind.GROWING_DC,
     LossConfigKind.GROW_DECAY_DC,
 )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -79,30 +71,19 @@ class GridSpec:
     def __post_init__(self):
         for name in ("d_range", "p_d_range", "r_range", "c_range"):
             rng = getattr(self, name)
-            if not (
-                isinstance(rng, (tuple, list))
-                and len(rng) == 2
-                and all(_is_real(v) and math.isfinite(v) for v in rng)
-                and rng[0] <= rng[1]
-            ):
-                raise ValidationError(
-                    f"{name} must be two finite numbers lo <= hi, got {rng!r}"
-                )
+            if not (isinstance(rng, (tuple, list)) and len(rng) == 2):
+                raise ValidationError(f"{name} must be a pair (lo, hi), got {rng!r}")
+            check_number(f"{name} lo", rng[0], -math.inf, math.inf)
+            check_number(f"{name} hi", rng[1], rng[0], math.inf, "[)")
             object.__setattr__(self, name, tuple(rng))
         for name in ("d_steps", "p_steps", "r_steps", "c_steps", "runs"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (_is_real(self.pick_fraction) and 0 < self.pick_fraction <= 1):
-            raise ValidationError(
-                f"pick_fraction must be in (0, 1], got {self.pick_fraction!r}"
-            )
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
+            check_number(name, getattr(self, name), 1, math.inf, "[)", integer=True)
+        check_number("pick_fraction", self.pick_fraction, 0, 1, "(]")
+        check_number("seed", self.seed, 0, math.inf, "[)", integer=True)
 
 
-def _axis(rng: tuple[float, float], steps: int) -> np.ndarray:
-    return np.linspace(rng[0], rng[1], steps)
+def _axis(rng: tuple[float, float], steps: int) -> list[float]:
+    return np.linspace(rng[0], rng[1], steps).tolist()
 
 
 class _Grid(Sequence):
@@ -116,7 +97,7 @@ class _Grid(Sequence):
             _axis(spec.r_range, spec.r_steps),
             _axis(spec.c_range, spec.c_steps),
         )
-        self._len = math.prod(axis.size for axis in self._axes)
+        self._len = math.prod(len(axis) for axis in self._axes)
 
     def __len__(self) -> int:
         return self._len
@@ -129,8 +110,8 @@ class _Grid(Sequence):
             raise IndexError(f"grid index {index} out of range")
         values = []
         for axis in reversed(self._axes):
-            index, pos = divmod(index, axis.size)
-            values.append(float(axis[pos]))
+            index, pos = divmod(index, len(axis))
+            values.append(axis[pos])
         c, r, p_d, d = values
         return DCParams(r=r, c=c, d=d, p_d=p_d)
 
@@ -143,10 +124,8 @@ def build_grid(spec: GridSpec) -> Sequence[DCParams]:
 
 def sample_grid(grid: Sequence[DCParams], pick_fraction: float, seed: int) -> list[DCParams]:
     """ceil(pick_fraction * |grid|) distinct configs, seeded, grid order kept."""
-    if not 0 < pick_fraction <= 1:
-        raise ValidationError(
-            f"pick_fraction must be in (0, 1], got {pick_fraction!r}"
-        )
+    check_number("pick_fraction", pick_fraction, 0, 1, "(]")
+    check_number("seed", seed, 0, math.inf, "[)", integer=True)
     k = math.ceil(pick_fraction * len(grid))
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(grid), size=k, replace=False))
@@ -162,15 +141,6 @@ class RunSummary:
     final_accuracy: float | None
     epochs_to_threshold: int | None
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "run": self.run,
-            "final_loss": self.final_loss,
-            "final_accuracy": self.final_accuracy,
-            "epochs_to_threshold": self.epochs_to_threshold,
-            "error": self.error,
-        }
 
 
 @dataclass
@@ -191,7 +161,7 @@ class ConfigResult:
             "d": self.params.d,
             "p_d": self.params.p_d,
             "kind": self.kind.value,
-            "runs": [r.to_dict() for r in self.runs],
+            "runs": [asdict(r) for r in self.runs],
             "mean_final_accuracy": self.mean_final_accuracy,
             "std_final_accuracy": self.std_final_accuracy,
             "excluded": self.excluded,
@@ -252,9 +222,7 @@ class SweepResult:
                     "best_mean_accuracy": (
                         None
                         if best is None
-                        else self.per_config[
-                            [c.config_id for c in self.per_config].index(best)
-                        ].mean_final_accuracy
+                        else self.per_config[best].mean_final_accuracy
                     ),
                     "avg_mean_accuracy": (
                         float(np.mean([c.mean_final_accuracy for c in scored]))
@@ -367,12 +335,9 @@ def run_sweep(
     """
     if not configs:
         raise ValidationError("configs must be nonempty")
-    if not runs >= 1:
-        raise ValidationError(f"runs must be >= 1, got {runs!r}")
-    if not 0 <= accuracy_threshold <= 1:
-        raise ValidationError(
-            f"accuracy_threshold must be in [0, 1], got {accuracy_threshold!r}"
-        )
+    check_number("runs", runs, 1, math.inf, "[)", integer=True)
+    check_number("seed", seed, 0, math.inf, "[)", integer=True)
+    check_number("accuracy_threshold", accuracy_threshold, 0, 1, "[]")
 
     jobs = [(i, k) for i in range(len(configs)) for k in range(runs)]
     done: list[RunSummary] = []

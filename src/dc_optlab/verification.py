@@ -10,6 +10,7 @@ import numpy as np
 
 from .convergence import dc_rate, verify_theorem
 from .dc_loss import DCParams
+from .errors import check_number
 from .data import Dataset
 from .lambert_w import BRANCH_POINT, w0
 from .neuron import empirical_loss, loss_gradient
@@ -124,6 +125,7 @@ def gradient_suite(trials: int = 100, seed: int = 20240801) -> dict:
     Step per coordinate is 1e-6 * (1 + |theta_j|); mismatch is measured
     relative to max(1, |finite difference|).
     """
+    check_number("seed", seed, 0, math.inf, "[)", integer=True)
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures = 0

@@ -141,6 +141,16 @@ class TestRates:
             assert run(["rates", "--out", tmp_path / "r.csv", f"--z-min={lo}", f"--z-max={hi}"]) == 2
             assert capsys.readouterr().err == "error: --z-max - --z-min must be finite\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_z_near_the_float_limit_has_finite_bounds(self, tmp_path):
+        # z * ln z overflows above about 1e305; the bracket must not
+        out = tmp_path / "r.csv"
+        assert run(["rates", "--out", out, "--z-max=1e308"]) == 0
+        header, rows = read_rows(out)
+        upper = [float(r[header.index("upper")]) for r in rows]
+        assert float(rows[-1][0]) == 1e308
+        assert all(math.isfinite(v) for v in upper[1:])  # NaN at z <= e only
+
     def test_partial_range_keeps_valid_rows(self, tmp_path):
         out = tmp_path / "r.csv"
         run(["rates", "--out", out, "--z-min", 0.5, "--z-max", 3.0, "--samples", 26])
@@ -153,27 +163,71 @@ EDGE_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-0.0", "5e-324", "
 
 
 class TestNumericFlagFuzz:
-    """Seeded fuzz of the numeric flags of ``rates`` and ``curves`` over edge
-    values: every input ends in a documented exit code, never a traceback."""
+    """Seeded fuzz of the numeric flags of each command over edge values:
+    every input ends in a documented exit code, never a traceback or a
+    numpy warning."""
 
     @pytest.mark.parametrize("command, flags", [
         ("rates", ["--r", "--c", "--d", "--p-d", "--z-min", "--z-max", "--samples"]),
         ("curves", ["--t-min", "--t-max", "--samples", "--params"]),
+        ("gen-data", ["--m", "--n", "--center-distance", "--noise-sigma", "--seed",
+                      "--split-fraction", "--split-seed"]),
+        ("train", ["--r", "--c", "--d", "--p-d", "--m", "--center-distance", "--noise-sigma",
+                   "--data-seed", "--split-fraction", "--split-seed", "--eta",
+                   "--batch-size", "--epochs", "--seed"]),
+        ("sweep", ["--d-steps", "--p-steps", "--r-steps", "--c-steps", "--pick-fraction",
+                   "--runs", "--epochs", "--batch-size", "--eta", "--m", "--split-fraction",
+                   "--accuracy-threshold", "--seed"]),
     ])
     def test_exit_code_documented_without_traceback(self, command, flags, tmp_path, capsys):
+        out = str(tmp_path / "out.csv")
+        base = {
+            "rates": ["--out", out],
+            "curves": ["--out", out],
+            "gen-data": ["--out", out, "--m", "20", "--train-out", out, "--test-out", out],
+            "train": ["--trace-out", out, "--m", "40", "--epochs", "2", "--batch-size", "8"],
+            "sweep": ["--profile", "desk", "--m", "40", "--epochs", "2", "--batch-size", "8"],
+        }[command]
         rng = np.random.default_rng(20240801)
         for _ in range(100):
-            argv = [command, "--out", str(tmp_path / "out.csv")]
+            argv = [command, *base]
             for flag in flags:
                 if rng.random() < 0.5:
                     n = 4 if flag == "--params" else 1
                     argv.append(f"{flag}={','.join(rng.choice(EDGE_VALUES, n))}")
             try:
-                code = main(argv)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(argv)
             except SystemExit as exc:  # argparse rejects a non-number
                 code = exc.code
             assert code in (0, 1, 2, 3), argv
             assert "Traceback" not in capsys.readouterr().err, argv
+
+
+class TestNegativeSeed:
+    """Each seed flag alone set to -1: one error line, exit 2, nothing written."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen-data", "--seed"),
+        ("gen-data", "--split-seed"),
+        ("train", "--seed"),
+        ("train", "--data-seed"),
+        ("train", "--split-seed"),
+        ("verify", "--seed"),
+    ])
+    def test_is_usage_error(self, command, flag, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        base = {
+            "gen-data": ["--out", out, "--m", "20", "--train-out", out + "1",
+                         "--test-out", out + "2"],
+            "train": ["--trace-out", out, "--m", "40", "--epochs", "2", "--batch-size", "8"],
+            "verify": ["--suite", "gradient", "--json-out", out],
+        }[command]
+        assert main([command, *base, f"{flag}=-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:

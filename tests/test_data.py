@@ -61,6 +61,16 @@ class TestGenerate:
             SyntheticSpec(noise_sigma=0.0)
         with pytest.raises(ValidationError):
             SyntheticSpec(split_fraction=1.0)
+        with pytest.raises(ValidationError):
+            SyntheticSpec(m=2.5)
+        with pytest.raises(ValidationError):
+            SyntheticSpec(center_distance=np.inf)
+        with pytest.raises(ValidationError):
+            SyntheticSpec(seed=-1)
+
+    def test_numpy_scalars_accepted(self):
+        spec = SyntheticSpec(m=np.int64(30), center_distance=np.float64(1.5), seed=np.int64(4))
+        assert generate(spec) == generate(SyntheticSpec(m=30, seed=4))
 
 
 class TestSplit:
@@ -92,6 +102,12 @@ class TestSplit:
             split(data, 0.0, seed=0)
         with pytest.raises(ValidationError):
             split(data, 1.0, seed=0)
+
+
+    def test_negative_seed_rejected(self):
+        data = generate(SyntheticSpec(m=10, seed=0))
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            split(data, 0.5, -1)
 
 
 class TestCsvRoundTrip:

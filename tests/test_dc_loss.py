@@ -173,9 +173,23 @@ class TestMarginTransform:
 
     @pytest.mark.filterwarnings("error")
     def test_margins_near_the_float_limit_are_silent(self):
-        # r * (t - d) overflows to +-inf
+        # r * (t - d) overflows to +-inf; f -> +inf at both ends
         p = DCParams(r=12.0, c=0.0, d=1.0, p_d=0.5)
-        assert np.array_equal(margin_transform(p, np.array([-1e308, 1e308])), [-np.inf, np.inf])
+        assert np.array_equal(margin_transform(p, np.array([-1e308, 1e308])), [np.inf, np.inf])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r, p_d, t, expected", [
+        # s - b*exp(-s) from mpmath at 50 digits
+        (1.0, 0.5, -709.5, 9.3920494693023551328e307),
+        (1.0, 0.99, -712.0, 1.6590202612304071218e307),
+        (1.0, 0.5, -1e308, math.inf),
+        (12.0, 0.5, -1e308, math.inf),
+    ])
+    def test_exp_overflow_region_matches_mpmath(self, r, p_d, t, expected):
+        # -r*(t-d) > 709: exp(-r*(t-d)) alone overflows, f need not
+        assert margin_transform(DCParams(r=r, c=0.0, d=0.0, p_d=p_d), t) == pytest.approx(
+            expected, rel=1e-12
+        )
 
 
 class TestClassifyConfig:

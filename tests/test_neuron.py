@@ -264,6 +264,18 @@ class TestTrain:
         with pytest.raises(ValidationError, match="eta must be finite"):
             TrainConfig(eta=eta)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(epochs=2.5), dict(batch_size=True), dict(seed=-1), dict(seed=1.0),
+    ])
+    def test_non_integer_or_negative_counts_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            TrainConfig(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = TrainConfig(eta=np.float64(0.5), batch_size=np.int64(8), epochs=np.int64(2),
+                          seed=np.int64(3))
+        assert (cfg.eta, cfg.batch_size, cfg.epochs, cfg.seed) == (0.5, 8, 2, 3)
+
     def test_divergence_reports_position(self, blobs):
         tr, te = blobs
         cfg = TrainConfig(eta=1e308, batch_size=16, epochs=1, seed=0)

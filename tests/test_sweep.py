@@ -4,6 +4,7 @@ training kernel."""
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import dc_optlab.sweep as sweep_module
@@ -55,6 +56,11 @@ class TestBuildGrid:
         with pytest.raises(ValidationError):
             GridSpec(d_steps=0)
 
+    def test_numpy_scalars_accepted(self):
+        spec = GridSpec(d_steps=np.int64(2), d_range=(np.float64(0.0), 5.0),
+                        pick_fraction=np.float64(0.5), seed=np.int64(1))
+        assert len(build_grid(spec)) == 2 * 9 * 24 * 25
+
     def test_list_ranges_stored_as_tuples(self):
         # a --grid-spec JSON file gives its ranges as lists
         spec = GridSpec(d_range=[0, 2], p_d_range=[0.2, 0.8], r_range=[1, 3], c_range=[0, 1])
@@ -90,6 +96,10 @@ class TestSampleGrid:
     def test_bad_fraction(self):
         with pytest.raises(ValidationError):
             sample_grid([DCParams(r=1.0, c=0.0, d=0.0, p_d=0.5)], 0.0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            sample_grid([DCParams(r=1.0, c=0.0, d=0.0, p_d=0.5)], 1.0, seed=-1)
 
 
 class TestRunSeeds:
@@ -155,6 +165,14 @@ class TestRunSweep:
     def test_empty_configs_rejected(self):
         with pytest.raises(ValidationError):
             run_sweep([], self.DATA, self.CFG, runs=1, seed=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(runs=0), dict(runs=2.0), dict(seed=-1), dict(accuracy_threshold=math.nan),
+    ])
+    def test_bad_counts_and_threshold_rejected(self, kwargs):
+        configs = [DCParams(r=2.0, c=0.0, d=0.0, p_d=0.5)]
+        with pytest.raises(ValidationError):
+            run_sweep(configs, self.DATA, self.CFG, **{"runs": 1, "seed": 0, **kwargs})
 
 
 def reference_run(params, i, k, data_spec, cfg, seed, threshold):
