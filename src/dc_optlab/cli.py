@@ -511,6 +511,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every seed flag, also one the chosen suites or command never read
+        for name, value in vars(args).items():
+            if name.endswith("seed") and value is not None:
+                check_number(f"--{name.replace('_', '-')}", value, 0, math.inf, "[)", integer=True)
         return _COMMANDS[args.command](args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,7 +47,9 @@ def dc_rate(params: DCParams, z):
             f"z={bad!r} is below the rate onset z_min = ln(-b)+1 = "
             f"{rate_onset(params)!r}"
         )
-    g = params.d + (w0(arg) + zarr) / params.r
+    # z near the float64 limit and r < 1 overflow to inf: rate_curve rejects it
+    with np.errstate(over="ignore"):
+        g = params.d + (w0(arg) + zarr) / params.r
     return float(g[0]) if scalar else g
 
 
@@ -225,6 +227,7 @@ def bracket_curves(params: DCParams, z_values):
     upper = np.full_like(z, np.nan)
     m = z > math.e
     lo, up = _bracket(params.b, z[m])
-    lower[m] = params.d + lo / params.r
-    upper[m] = params.d + up / params.r
+    with np.errstate(over="ignore"):
+        lower[m] = params.d + lo / params.r
+        upper[m] = params.d + up / params.r
     return lower, upper

@@ -87,6 +87,10 @@ class SyntheticSpec:
         check_number("noise_sigma", self.noise_sigma, 0, math.inf)
         check_number("split_fraction", self.split_fraction, 0, 1)
         check_number("seed", self.seed, 0, math.inf, "[)", integer=True)
+        # numpy cannot make an (m, n) float64 array of more bytes than intp holds
+        size, limit = int(self.m) * int(self.n), int(np.iinfo(np.intp).max) // 8
+        if size > limit:
+            raise ValidationError(f"m * n must be <= {limit}, got {size}")
 
 
 def generate(spec: SyntheticSpec) -> Dataset:

@@ -77,18 +77,25 @@ class LossConfigKind(str, enum.Enum):
 R_UNIT_TOL = 1e-12
 
 
-def _shifted_exp(params: DCParams, t):
+def _shifted_exp(t, r, d):
     # exp(-r*(t-d)), clipped so downstream products stay finite
     with np.errstate(over="ignore"):
-        z = -params.r * (np.asarray(t, dtype=float) - params.d)
+        z = -r * (np.asarray(t, dtype=float) - d)
     return np.exp(np.clip(z, -745.0, 709.0))
+
+
+def _probability(t, r, d, a, b):
+    """a * exp(b * exp(-r*(t-d))) from floats, or from (R, 1) columns
+    against (R, m) margins t (one row of constants per job); either way
+    each element takes the same operations, so the bits agree."""
+    u = _shifted_exp(t, r, d)
+    with np.errstate(over="ignore"):
+        return a * np.exp(b * u)
 
 
 def response_probability(params: DCParams, t):
     """a * exp(b * exp(-r*(t-d))); equals p_d at t = d, tends to a as t -> inf."""
-    u = _shifted_exp(params, t)
-    with np.errstate(over="ignore"):
-        out = params.a * np.exp(params.b * u)
+    out = _probability(t, params.r, params.d, params.a, params.b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -98,7 +105,7 @@ def log_response_probability(params: DCParams, t):
     Exact where the probability itself underflows to zero in float64; use
     this for monotonicity checks on wide t ranges.
     """
-    u = _shifted_exp(params, t)
+    u = _shifted_exp(t, params.r, params.d)
     with np.errstate(over="ignore"):
         out = params.eps + params.b * u
     return float(out) if out.ndim == 0 else out

@@ -20,6 +20,12 @@ whole array. When the cap is reached, the elements still moving must
 satisfy |w*exp(w) - x| <= 1e-12 * max(1, |x|); otherwise ``NumericalError``
 names the first such argument.
 
+Above x = 1e307, Halley's product (w + 2) * f overflows float64 (from about
+3e307 on), which would zero the step and return the initial guess. There
+w0 solves ln w + w = ln x by Newton's iteration in log space instead,
+from the same guess; arguments up to 1e307 keep the Halley path and its
+bits.
+
 Inputs within 1e-12 below -1/e are clamped to the branch point (callers hit
 it through rounding), anything lower raises ``DomainError``.
 """
@@ -33,6 +39,7 @@ DOMAIN_SLACK = 1e-12
 
 _MAX_ITER = 50
 _STEP_TOL = 1e-15
+_LOG_SPACE_MIN = 1e307
 
 
 def _initial_guess(x: np.ndarray) -> np.ndarray:
@@ -73,6 +80,19 @@ def _halley_round(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return new, bool(np.all(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(new))))
 
 
+def _log_space_newton(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solve ln w + w = ln x from the guess w by Newton's iteration, which
+    no float64 x overflows; for x above 1e307 (w > 700) it meets the step
+    tolerance within a few rounds."""
+    lx = np.log(x)
+    for _ in range(_MAX_ITER):
+        step = (np.log(w) + w - lx) * w / (w + 1.0)
+        w = w - step
+        if np.all(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(w))):
+            break
+    return w
+
+
 def w0(x):
     """Evaluate W0 at ``x`` (scalar or array_like).
 
@@ -102,6 +122,10 @@ def w0(x):
     # each later round would recompute the same sub-half-ulp step, which
     # passes the step test and changes no bit.
     idx, wa = np.arange(w.size), w
+    big = xa > _LOG_SPACE_MIN
+    if big.any():
+        w[big] = _log_space_newton(w[big], xa[big])
+        idx, wa, xa = idx[~big], w[~big], xa[~big]
     for _ in range(_MAX_ITER):
         new, settled = _halley_round(wa, xa)
         if settled:

@@ -20,6 +20,7 @@ from .dc_loss import (
     DCParams,
     _dc_derivative,
     _derivative_constants,
+    _probability,
     loss_derivative,
     per_sample_loss,
 )
@@ -123,10 +124,12 @@ def gd_step(theta: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
         return theta - eta * grad
 
 
-def _hit_rate(scores: np.ndarray, labels: np.ndarray):
-    """Fraction of sign(score) == label along the last axis; sign(0) counts
-    as +1. Takes (m,) or (R, m) scores and labels."""
-    return np.count_nonzero((scores >= 0.0) == (labels > 0), axis=-1) / labels.shape[-1]
+def _accuracies(features: np.ndarray, labels: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Test accuracy of R jobs: the fraction of sign(theta[j] . x) == y over
+    job j's (m, n) ``features[j]`` and (m,) ``labels[j]``; sign(0) counts as
+    +1."""
+    scores = np.einsum("rij,rj->ri", features, theta)
+    return np.count_nonzero((scores >= 0.0) == (labels > 0), axis=1) / labels.shape[1]
 
 
 def accuracy(theta: np.ndarray, data: Dataset) -> float:
@@ -134,26 +137,54 @@ def accuracy(theta: np.ndarray, data: Dataset) -> float:
     theta = _check_theta(theta, data)
     if data.m == 0:
         raise EmptyDatasetError("accuracy of an empty dataset is undefined")
-    return float(_hit_rate(np.einsum("ij,j->i", data.features, theta), data.labels))
+    return float(_accuracies(data.features[None], data.labels[None], theta[None])[0])
 
 
-def _norm(theta: np.ndarray) -> float:
-    """||theta||, also where the squares overflow but theta is finite: then
-    theta is rescaled by max|theta| first."""
+def _norms(theta: np.ndarray) -> np.ndarray:
+    """||theta[j]|| of each row of an (R, n) array, also where the squares
+    overflow but the row is finite: then it is rescaled by its max|theta|
+    first. The stacked matmul gives each row the bits of ``np.linalg.norm``
+    (sqrt of a dot product); einsum and ``np.linalg.norm(axis=1)`` do not
+    always."""
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(theta))
-    if math.isinf(norm) and np.isfinite(theta).all():
-        scale = float(np.max(np.abs(theta)))
-        norm = scale * float(np.linalg.norm(np.divide(theta, scale)))
-    return norm
+        norms = np.sqrt((theta[:, None, :] @ theta[:, :, None])[:, 0, 0])
+    big = np.isinf(norms) & np.isfinite(theta).all(axis=1)
+    if big.any():
+        scale = np.max(np.abs(theta[big]), axis=1, keepdims=True)
+        norms[big] = scale[:, 0] * _norms(theta[big] / scale)
+    return norms
+
+
+def _min_normalized(t: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Each row's min margin of (R, m) margins t over its norm; 0 where the
+    norm is 0."""
+    return np.divide(np.min(t, axis=1), norms, out=np.zeros_like(norms), where=norms != 0.0)
 
 
 def min_normalized_margin(theta: np.ndarray, data: Dataset) -> float:
     """min_i y_i * (theta . x_i) / ||theta||; 0 when theta is all zeros."""
-    norm = _norm(theta)
-    if norm == 0.0 or data.m == 0:
+    if data.m == 0:
         return 0.0
-    return float(np.min(margins(theta, data)) / norm)
+    theta = _check_theta(theta, data)
+    return float(_min_normalized(margins(theta, data)[None], _norms(theta[None]))[0])
+
+
+def _train_metrics(
+    params: list[DCParams], signed: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(train loss, ||theta||, min normalized margin) of R jobs, from one
+    margin product.
+
+    Job j is ``params[j]`` on its training set ``signed[j]`` (an (m, n)
+    ``_signed_features`` block) at weights ``theta[j]``. Each value has the
+    bits of that job's ``empirical_loss``, ``np.linalg.norm`` (rescaled as
+    in ``_norms``) and ``min_normalized_margin``.
+    """
+    t = np.einsum("rij,rj->ri", signed, theta)
+    r, d, a, b = np.array([(p.r, p.d, p.a, p.b) for p in params]).T[..., None]
+    loss = np.sum(-_probability(t, r, d, a, b), axis=1)  # per_sample_loss, summed
+    norms = _norms(theta)
+    return loss, norms, _min_normalized(t, norms)
 
 
 def _initial_theta(cfg: TrainConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -187,23 +218,28 @@ def _signed_features(data: Dataset) -> np.ndarray:
 def _lockstep(
     params: list[DCParams],
     signed: np.ndarray,
+    test_x: np.ndarray,
+    test_y: np.ndarray,
     rngs: list[np.random.Generator],
     cfg: TrainConfig,
     diverged: dict[int, NumericalError],
 ):
-    """Train R jobs in lockstep; yield (epoch, live, theta) after every epoch.
+    """Train R jobs in lockstep; yield (epoch, live, theta, test accuracy)
+    after every epoch.
 
     Job j minimizes the loss of ``params[j]`` on its training set, given as
     ``signed[j]`` (an (m, n) ``_signed_features`` block, the same shape for
     every job), drawing its initial weights and epoch permutations from
-    ``rngs[j]``. Every job takes the same steps, with the same bits, as a
-    run of its own: margins, the loss derivative (``_dc_derivative`` on
-    per-job constant columns) and the summed gradient are computed per row
-    with the same elementwise operations and reductions. ``live`` holds the
-    indices of the jobs still training and ``theta`` their (len(live), n)
-    weights. A job whose weights
-    leave the finite range stops, and ``diverged[j]`` gets a ``NumericalError``
-    that names its epoch (and minibatch, for SGD).
+    ``rngs[j]``, and is scored on ``test_x[j]``/``test_y[j]`` (its test
+    features and labels, stacked like ``signed``). Every job takes the same
+    steps, with the same bits, as a run of its own: margins, the loss
+    derivative (``_dc_derivative`` on per-job constant columns) and the
+    summed gradient are computed per row with the same elementwise
+    operations and reductions. ``live`` holds the indices of the jobs still
+    training, ``theta`` their (len(live), n) weights and the accuracy their
+    (len(live),) ``_accuracies``. A job whose weights leave the finite range
+    is dropped from every per-job array, and ``diverged[j]`` gets a
+    ``NumericalError`` that names its epoch (and minibatch, for SGD).
     """
     m, n = signed.shape[1:]
     r, d, b, k = np.array([_derivative_constants(p) for p in params]).T[..., None]
@@ -230,13 +266,14 @@ def _lockstep(
                 where = f"epoch {epoch}, minibatch {batch_index}" if sgd else f"epoch {epoch}"
                 for j in live[~finite]:
                     diverged[int(j)] = NumericalError(f"non-finite weights at {where}")
-                live, theta, r, d, b, k, signed, epoch_rows = (
-                    a[finite] for a in (live, theta, r, d, b, k, signed, epoch_rows)
+                live, theta, r, d, b, k, signed, epoch_rows, test_x, test_y = (
+                    a[finite]
+                    for a in (live, theta, r, d, b, k, signed, epoch_rows, test_x, test_y)
                 )
                 rngs = [rng for rng, keep in zip(rngs, finite) if keep]
                 if not live.size:
                     return
-        yield epoch, live, theta
+        yield epoch, live, theta, _accuracies(test_x, test_y, theta)
 
 
 def train_with_weights(
@@ -250,30 +287,33 @@ def train_with_weights(
     SGD shuffles indices each epoch with the seeded generator and visits
     ceil(m/batch_size) minibatches (the last may be short), stepping once
     per minibatch on the summed gradient. GD takes one full-batch step per
-    epoch. Raises ``NumericalError`` with epoch/minibatch coordinates if
-    the weights leave the finite range.
+    epoch. The run is ``_lockstep`` with one job, which gives each epoch's
+    test accuracy; ``_train_metrics`` gives the rest of its trace. Raises
+    ``NumericalError`` with epoch/minibatch coordinates if the weights leave
+    the finite range.
     """
     _check_training_sets(train_set, test_set, cfg)
+    signed = _signed_features(train_set)[None]
     diverged: dict[int, NumericalError] = {}
     epochs = _lockstep(
-        [params], _signed_features(train_set)[None], [np.random.default_rng(cfg.seed)],
-        cfg, diverged,
+        [params], signed, test_set.features[None], test_set.labels[None],
+        [np.random.default_rng(cfg.seed)], cfg, diverged,
     )
     traces: list[EpochTrace] = []
-    for epoch, _, weights in epochs:
-        theta = weights[0]
+    for epoch, _, theta, acc in epochs:
+        loss, norm, min_margin = _train_metrics([params], signed, theta)
         traces.append(
             EpochTrace(
                 epoch=epoch,
-                train_loss=empirical_loss(params, theta, train_set),
-                test_accuracy=accuracy(theta, test_set),
-                theta_norm=_norm(theta),
-                min_normalized_margin=min_normalized_margin(theta, train_set),
+                train_loss=float(loss[0]),
+                test_accuracy=float(acc[0]),
+                theta_norm=float(norm[0]),
+                min_normalized_margin=float(min_margin[0]),
             )
         )
     if diverged:
         raise diverged[0]
-    return theta, traces
+    return theta[0], traces
 
 
 def train(

@@ -27,10 +27,9 @@ from .errors import DCOptLabError, NumericalError, ValidationError, check_number
 from .neuron import (
     TrainConfig,
     _check_training_sets,
-    _hit_rate,
     _lockstep,
     _signed_features,
-    empirical_loss,
+    _train_metrics,
 )
 
 # jobs trained together by one lockstep pass. At the protocol's m=1000,
@@ -263,8 +262,10 @@ def _train_chunk(
     """Summaries of the (config, run) jobs, in order, trained in lockstep.
 
     Data, split and the training checks run per job; a job they reject is
-    excluded with their error. The others train together and record test
-    accuracy every epoch; the final loss is taken once, at the end.
+    excluded with their error. The others train together in one
+    ``_lockstep``, which gives their test accuracy every epoch; the final
+    train loss of the jobs that finish comes from one ``_train_metrics``
+    call after the last epoch.
     """
     summaries: list[RunSummary | None] = [None] * len(jobs)
     ready, params, train_sets, test_sets, rngs = [], [], [], [], []
@@ -285,24 +286,20 @@ def _train_chunk(
     if not ready:
         return summaries
 
-    all_test_x = np.stack([t.features for t in test_sets])
-    all_test_y = np.stack([t.labels for t in test_sets])
-    test_x, test_y = all_test_x, all_test_y
+    signed = np.stack([_signed_features(t) for t in train_sets])
     reached = np.zeros(len(ready), dtype=int)  # first epoch at the threshold, 0 if none
     final_acc = np.zeros(len(ready))
+    final_loss = np.zeros(len(ready))
     diverged: dict[int, NumericalError] = {}
     steps = _lockstep(
-        params, np.stack([_signed_features(t) for t in train_sets]), rngs, train_cfg, diverged
+        params, signed, np.stack([t.features for t in test_sets]),
+        np.stack([t.labels for t in test_sets]), rngs, train_cfg, diverged,
     )
-    live, theta = np.arange(len(ready)), ()  # theta stays () if all diverge in epoch 1
-    for epoch, now_live, theta in steps:
-        if now_live.size != live.size:
-            live = now_live
-            test_x, test_y = all_test_x[live], all_test_y[live]
-        acc = _hit_rate(np.einsum("rij,rj->ri", test_x, theta), test_y)
+    for epoch, live, theta, acc in steps:
         final_acc[live] = acc
         reached[live[(acc >= accuracy_threshold) & (reached[live] == 0)]] = epoch
-    final_theta = dict(zip(live.tolist(), theta))
+    if len(diverged) < len(ready):  # the last epoch ran: live holds the jobs that finished
+        final_loss[live] = _train_metrics([params[j] for j in live], signed[live], theta)[0]
 
     for row, job in enumerate(ready):
         k = jobs[job][1]
@@ -311,7 +308,7 @@ def _train_chunk(
             continue
         summaries[job] = RunSummary(
             run=k,
-            final_loss=empirical_loss(params[row], final_theta[row], train_sets[row]),
+            final_loss=float(final_loss[row]),
             final_accuracy=float(final_acc[row]),
             epochs_to_threshold=int(reached[row]) or None,
         )

@@ -44,6 +44,24 @@ class TestGenData:
         code = run(["gen-data", "--out", tmp_path / "d.csv", "--train-out", tmp_path / "t.csv"])
         assert code == 2
 
+    # past numpy's largest float64 array; SyntheticSpec rejects these before any allocation
+    @pytest.mark.parametrize("command, flags", [
+        ("gen-data", ["--m", 10**20]),
+        ("gen-data", ["--m", 2**62, "--n", 2]),
+        ("gen-data", ["--m", 2**61 - 1]),
+        ("gen-data", ["--n", 10**20]),
+        ("train", ["--m", 10**20]),
+        ("sweep", ["--m", 10**20]),
+    ])
+    def test_oversized_dataset_is_usage_error(self, command, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = {"gen-data": ["--out", out], "train": ["--trace-out", out],
+                "sweep": ["--json-out", out, "--profile", "desk"]}[command]
+        assert run([command, *base, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: m * n must be <= ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("half", ["--train-out", "--test-out"])
     def test_half_split_flags_write_nothing(self, half, tmp_path, capsys):
         assert run(["gen-data", "--out", tmp_path / "a.csv", half, tmp_path / "t.csv"]) == 2
@@ -151,6 +169,15 @@ class TestRates:
         assert float(rows[-1][0]) == 1e308
         assert all(math.isfinite(v) for v in upper[1:])  # NaN at z <= e only
 
+    @pytest.mark.filterwarnings("error")
+    def test_rate_beyond_float_range_rejected(self, tmp_path, capsys):
+        # at r < 1 the rate (and the bracket) of z near 1e308 overflows
+        out = tmp_path / "r.csv"
+        assert run(["rates", "--out", out, "--r", 0.5, "--z-max=1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "error: g_values must be finite at every retained point\n")
+        assert not out.exists()
+
     def test_partial_range_keeps_valid_rows(self, tmp_path):
         out = tmp_path / "r.csv"
         run(["rates", "--out", out, "--z-min", 0.5, "--z-max", 3.0, "--samples", 26])
@@ -215,6 +242,7 @@ class TestNegativeSeed:
         ("train", "--data-seed"),
         ("train", "--split-seed"),
         ("verify", "--seed"),
+        ("sweep", "--seed"),
     ])
     def test_is_usage_error(self, command, flag, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -223,11 +251,18 @@ class TestNegativeSeed:
                          "--test-out", out + "2"],
             "train": ["--trace-out", out, "--m", "40", "--epochs", "2", "--batch-size", "8"],
             "verify": ["--suite", "gradient", "--json-out", out],
+            "sweep": ["--json-out", out, "--profile", "desk", "--epochs", "1"],
         }[command]
         assert main([command, *base, f"{flag}=-1"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: seed must be an integer >= 0, got -1\n"
+        assert err == f"error: {flag} must be an integer >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_checked_where_no_suite_reads_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["verify", "--suite", "lambert", "--json-out", out, "--seed=-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
 
 
 class TestVerify:

@@ -162,6 +162,12 @@ class TestRateCurve:
         assert np.all(lower[above] < g[above])
         assert np.all(g[above] < upper[above])
 
+    @pytest.mark.filterwarnings("error")
+    def test_bracket_curves_overflow_to_inf_silently(self):
+        p = DCParams(r=0.5, c=0.0, d=0.0, p_d=math.exp(-1.0))
+        lower, upper = bracket_curves(p, np.array([1e308]))
+        assert np.isposinf(lower).all() and np.isposinf(upper).all()
+
     def test_bracket_curves_scale_with_r_and_d(self):
         p = DCParams(r=2.0, c=0.0, d=1.0, p_d=math.exp(-1.0))
         z, g = rate_curve(p, np.linspace(3.0, 8.0, 11))

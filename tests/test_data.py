@@ -57,6 +57,8 @@ class TestGenerate:
     def test_invalid_spec(self):
         with pytest.raises(ValidationError):
             SyntheticSpec(m=0)
+        with pytest.raises(ValidationError, match="m \\* n must be"):
+            SyntheticSpec(m=np.int64(2**62), n=np.int64(2))  # the product overflows int64
         with pytest.raises(ValidationError):
             SyntheticSpec(noise_sigma=0.0)
         with pytest.raises(ValidationError):

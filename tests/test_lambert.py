@@ -2,6 +2,7 @@
 the logarithmic enclosure."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -168,7 +169,8 @@ class TestFixedPointRetirement:
         assert ran == rounds
         assert np.array_equal(w0(x).view(np.int64), ref.view(np.int64))
 
-    @pytest.mark.parametrize("x", [0.0, math.e, -1.0 / math.e, -1.0 / math.e - 1e-13, 1e300])
+    @pytest.mark.parametrize("x", [0.0, math.e, -1.0 / math.e, -1.0 / math.e - 1e-13, 1e300,
+                                   1e307])
     def test_scalars_bit_equal(self, x):
         ref, _ = w0_whole_array(x)
         assert np.array_equal(np.float64(w0(x)).view(np.int64), ref[0].view(np.int64))
@@ -186,3 +188,28 @@ class TestW0NonConvergence:
         monkeypatch.setattr(lambert_w, "_MAX_ITER", 1)
         with pytest.raises(NumericalError, match=r"x=1e\+100"):
             w0(np.array([0.0, 1e100, 1e6]))
+
+
+class TestW0NearTheFloatLimit:
+    """Above 1e307 Halley's products overflow; w0 solves ln w + w = ln x."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_within_an_ulp_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")  # test-only oracle
+        rng = np.random.default_rng(20240801)
+        big = np.concatenate([
+            [np.nextafter(1e307, math.inf), 3e307, 5e307, 1e308, sys.float_info.max],
+            rng.uniform(1e307, sys.float_info.max, 200),
+        ])
+        small = np.concatenate([[-0.3, 0.0, 2.0, 1e300, 1e307], rng.uniform(1e305, 1e307, 50)])
+        x = np.concatenate([big, small])
+        rng.shuffle(x)
+        w = w0(x)
+        at_big = x > 1e307
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.lambertw(mpmath.mpf(float(v))).real)
+                              for v in x[at_big]])
+        assert np.all(np.abs(w[at_big] - exact) <= np.spacing(exact))
+        # the others keep the Halley loop's bits
+        ref, _ = w0_whole_array(x[~at_big])
+        assert np.array_equal(w[~at_big].view(np.int64), ref.view(np.int64))

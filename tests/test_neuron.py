@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from dc_optlab.data import Dataset
 from dc_optlab.neuron import (
     Init,
     Mode,
+    _accuracies,
+    _signed_features,
+    _train_metrics,
     accuracy,
     empirical_loss,
     gd_step,
@@ -182,6 +186,56 @@ def blobs():
     return split(data, 0.8, seed=8)
 
 
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def reference_norm(theta: np.ndarray) -> float:
+    """||theta|| per run: np.linalg.norm, and where the squares overflow but
+    theta is finite, max|theta| times the norm of theta / max|theta|."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(theta))
+    if math.isinf(norm) and np.isfinite(theta).all():
+        scale = float(np.max(np.abs(theta)))
+        norm = scale * float(np.linalg.norm(theta / scale))
+    return norm
+
+
+def reference_metrics(params, theta, train_set, test_set) -> tuple[float, ...]:
+    """(train loss, test accuracy, ||theta||, min normalized margin) of one
+    run, each from its own per-run computation."""
+    norm = reference_norm(theta)
+    scores = np.einsum("ij,j->i", test_set.features, theta)
+    hits = np.count_nonzero((scores >= 0.0) == (test_set.labels > 0))
+    return (
+        empirical_loss(params, theta, train_set),
+        hits / test_set.m,
+        norm,
+        0.0 if norm == 0.0 else float(np.min(margins(theta, train_set)) / norm),
+    )
+
+
+def reference_train(params, train_set, test_set, cfg):
+    """Per-run reference of ``train_with_weights``: one loss_gradient and
+    gd_step per minibatch of Dataset.subset rows, and ``reference_metrics``
+    after every epoch. Returns the final weights and the trace rows."""
+    gen = np.random.default_rng(cfg.seed)
+    theta = np.zeros(train_set.n)
+    if cfg.init is Init.GAUSSIAN_SCALED:
+        theta = gen.normal(0.0, 1.0 / math.sqrt(train_set.n), size=train_set.n)
+    rows = []
+    for epoch in range(1, cfg.epochs + 1):
+        batches = [train_set]
+        if cfg.mode is Mode.SGD:
+            perm = gen.permutation(train_set.m)
+            batches = [train_set.subset(perm[i:i + cfg.batch_size])
+                       for i in range(0, train_set.m, cfg.batch_size)]
+        for batch in batches:
+            theta = gd_step(theta, loss_gradient(params, theta, batch), cfg.eta)
+        rows.append((epoch, *reference_metrics(params, theta, train_set, test_set)))
+    return theta, rows
+
+
 class TestTrain:
     def test_vanishing_eta_freezes_weights(self, blobs):
         tr, te = blobs
@@ -200,24 +254,27 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", [Mode.SGD, Mode.GD])
     def test_steps_match_the_per_minibatch_loop(self, mode, blobs, rng):
-        # reference: one loss_gradient and gd_step per minibatch of
-        # Dataset.subset rows; training must take the same steps bit for bit
+        # training must take the reference's steps bit for bit
         tr, te = blobs
         for _ in range(25):
             params = random_params(rng)
             cfg = TrainConfig(eta=0.01, batch_size=16, epochs=3, mode=mode,
                               seed=int(rng.integers(1000)), init=Init.GAUSSIAN_SCALED)
-            gen = np.random.default_rng(cfg.seed)
-            theta = gen.normal(0.0, 1.0 / math.sqrt(tr.n), size=tr.n)
-            for _ in range(cfg.epochs):
-                batches = [tr]
-                if mode is Mode.SGD:
-                    perm = gen.permutation(tr.m)
-                    batches = [tr.subset(perm[i:i + cfg.batch_size])
-                               for i in range(0, tr.m, cfg.batch_size)]
-                for batch in batches:
-                    theta = gd_step(theta, loss_gradient(params, theta, batch), cfg.eta)
+            theta, _ = reference_train(params, tr, te, cfg)
             assert np.array_equal(train_with_weights(params, tr, te, cfg)[0], theta)
+
+    @pytest.mark.parametrize("mode", [Mode.SGD, Mode.GD])
+    @pytest.mark.parametrize("init", [Init.ZEROS, Init.GAUSSIAN_SCALED])
+    def test_traces_match_the_per_run_metrics(self, mode, init, blobs, rng):
+        tr, te = blobs
+        for _ in range(10):
+            params = random_params(rng)
+            cfg = TrainConfig(eta=float(rng.choice([0.01, 0.5])), batch_size=16, epochs=4,
+                              mode=mode, seed=int(rng.integers(1000)), init=init)
+            theta, traces = train_with_weights(params, tr, te, cfg)
+            ref_theta, ref_rows = reference_train(params, tr, te, cfg)
+            assert bits(theta) == bits(ref_theta)
+            assert [bits(astuple(t)) for t in traces] == [bits(row) for row in ref_rows]
 
     def test_deterministic_given_seed(self, blobs):
         tr, te = blobs
@@ -312,3 +369,45 @@ class TestExports:
         theta = np.array([1.0, 2.0])
         val = min_normalized_margin(theta, data)
         assert abs(val) <= float(np.max(np.linalg.norm(data.features, axis=1)))
+
+
+class TestTrainMetrics:
+    """The batched epoch metrics against the per-run reference, row by row."""
+
+    def jobs(self, rng, theta):
+        r, m = theta.shape[0], 75
+        params = [random_params(rng) for _ in range(r)]
+        train_sets = [Dataset(features=rng.normal(size=(m, 2)) * 3,
+                              labels=rng.choice((-1, 1), size=m)) for _ in range(r)]
+        test_sets = [Dataset(features=rng.normal(size=(20, 2)),
+                             labels=rng.choice((-1, 1), size=20)) for _ in range(r)]
+        return params, train_sets, test_sets
+
+    def assert_rows_match(self, params, train_sets, test_sets, theta):
+        signed = np.stack([_signed_features(t) for t in train_sets])
+        loss, norm, min_margin = _train_metrics(params, signed, theta)
+        acc = _accuracies(np.stack([t.features for t in test_sets]),
+                          np.stack([t.labels for t in test_sets]), theta)
+        for j in range(theta.shape[0]):
+            expected = reference_metrics(params[j], theta[j], train_sets[j], test_sets[j])
+            assert bits((loss[j], acc[j], norm[j], min_margin[j])) == bits(expected), j
+        return norm, min_margin
+
+    def test_rows_match_the_per_run_reference(self, rng):
+        direction = rng.normal(size=(64, 2))
+        theta = direction * np.exp(rng.uniform(-30.0, 30.0, size=(64, 1)))
+        self.assert_rows_match(*self.jobs(rng, theta), theta)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_squares_take_the_rescaled_norm(self, rng):
+        theta = np.array([[1e200, -3e199], [0.5, 2.0]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(theta[0] @ theta[0])
+        norm, _ = self.assert_rows_match(*self.jobs(rng, theta), theta)
+        assert np.isfinite(norm).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weights_have_zero_min_margin(self, rng):
+        theta = np.array([[0.0, 0.0], [0.5, -2.0]])
+        norm, min_margin = self.assert_rows_match(*self.jobs(rng, theta), theta)
+        assert norm[0] == 0.0 and bits(min_margin[0]) == bits(0.0)
