@@ -288,8 +288,11 @@ def _cmd_rates(args) -> int:
     if not math.isfinite(args.z_max - args.z_min):
         raise ValidationError("--z-max - --z-min must be finite")
     params = _params_from_args(args)
-    # DomainError if no z of the grid is valid
-    z, g = rate_curve(params, np.linspace(args.z_min, args.z_max, args.samples))
+    try:
+        # DomainError if no z of the grid is valid
+        z, g = rate_curve(params, np.linspace(args.z_min, args.z_max, args.samples))
+    except ValidationError as exc:
+        raise ValidationError(f"{exc}: set --z-max below it") from None
     lower, upper = bracket_curves(params, z)
     onset = rate_onset(params)
     rows = ((zv, gv, zv, lo, up, onset) for zv, gv, lo, up in zip(z, g, lower, upper))
@@ -524,6 +527,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValidationError, DomainError, DCOptLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # an input too large for this machine: numpy fails at the request
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_USAGE
 
 

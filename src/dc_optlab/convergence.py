@@ -197,8 +197,8 @@ def rate_curve(params: DCParams, z_values) -> tuple[np.ndarray, np.ndarray]:
     """Sample dc_rate over z_values, retaining only the valid domain.
 
     Returns (z, g): the distinct valid z values in increasing order and the
-    rate at each. Raises ``ValidationError`` if a retained g is not finite
-    (z = inf).
+    rate at each. Raises ``ValidationError`` naming the first retained z
+    whose rate is not finite (it overflows from there on, or z = inf).
     """
     z = np.unique(np.asarray(z_values, dtype=float))
     with np.errstate(over="ignore"):
@@ -209,8 +209,9 @@ def rate_curve(params: DCParams, z_values) -> tuple[np.ndarray, np.ndarray]:
             f"no z value is at or above the onset z_min = {rate_onset(params)!r}"
         )
     g = dc_rate(params, z)
-    if not np.all(np.isfinite(g)):
-        raise ValidationError("g_values must be finite at every retained point")
+    bad = ~np.isfinite(g)
+    if bad.any():
+        raise ValidationError(f"the rate at z = {float(z[bad][0])!r} overflows float64")
     return z, g
 
 

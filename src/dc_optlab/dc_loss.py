@@ -77,20 +77,50 @@ class LossConfigKind(str, enum.Enum):
 R_UNIT_TOL = 1e-12
 
 
-def _shifted_exp(t, r, d):
-    # exp(-r*(t-d)), clipped so downstream products stay finite
-    with np.errstate(over="ignore"):
-        z = -r * (np.asarray(t, dtype=float) - d)
-    return np.exp(np.clip(z, -745.0, 709.0))
+def _tail_keep(z, bound):
+    """Mask of the elements of z not below bound, or None when none is
+    below it: one reduction decides, and z holding a NaN or no element
+    gives None.
+
+    The kernels know the value of every element whose exponent z is below
+    their bound. Computing it would cost a subnormal (numpy's exp and
+    multiply run 20-200x slower on subnormals than on normal numbers), and
+    a run driven far into the Gompertz tail is nearly all such elements;
+    so the kernels compute only the kept elements and fill the rest.
+    """
+    if np.minimum.reduce(z, axis=None, initial=np.inf) < bound:
+        return np.greater_equal(z, bound)  # no NaN here: the minimum would be NaN
+    return None
+
+
+def _tail_fill(keep, fill, values):
+    """An array of keep's shape holding values where keep is set and
+    fill (a scalar or an (R, 1) column) elsewhere."""
+    out = np.array(np.broadcast_to(fill, keep.shape))
+    out[keep] = values
+    return out
 
 
 def _probability(t, r, d, a, b):
     """a * exp(b * exp(-r*(t-d))) from floats, or from (R, 1) columns
     against (R, m) margins t (one row of constants per job); either way
-    each element takes the same operations, so the bits agree."""
-    u = _shifted_exp(t, r, d)
+    each element takes the same operations, so the bits agree.
+
+    Tail rule: -r*(t-d) is clipped to [-745, 709] so the products stay
+    finite. Wherever the clip floors it at -745, u is exactly exp(-745),
+    a subnormal, so the element is the per-job constant
+    a*exp(b*exp(-745)): it is evaluated once on the constants and filled
+    in (``_tail_keep``), with the bits the formula gives there.
+    """
     with np.errstate(over="ignore"):
-        return a * np.exp(b * u)
+        z = -r * (np.asarray(t, dtype=float) - d)
+        keep = _tail_keep(z, -745.0)
+        if keep is not None:
+            with np.errstate(under="ignore"):
+                floor = a * np.exp(b * np.exp(-745.0))
+            z, a, b = (np.broadcast_to(v, keep.shape)[keep] for v in (z, a, b))
+        out = a * np.exp(b * np.exp(np.clip(z, -745.0, 709.0)))
+    return out if keep is None else _tail_fill(keep, floor, out)
 
 
 def response_probability(params: DCParams, t):
@@ -105,9 +135,9 @@ def log_response_probability(params: DCParams, t):
     Exact where the probability itself underflows to zero in float64; use
     this for monotonicity checks on wide t ranges.
     """
-    u = _shifted_exp(t, params.r, params.d)
     with np.errstate(over="ignore"):
-        out = params.eps + params.b * u
+        z = -params.r * (np.asarray(t, dtype=float) - params.d)
+        out = params.eps + params.b * np.exp(np.clip(z, -745.0, 709.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -150,10 +180,23 @@ def _dc_derivative(t, r, d, b, k):
     overflow to -inf, which the final exp maps to -0: callers silence
     the overflow warning (it runs once per minibatch, too often to pay
     for an ``errstate`` of its own).
+
+    Tail rule: with s = r*(t-d) and z = k - s, the final exponent is
+    z + b*u with b < 0 and u >= 0, so it is at most z (rounding is
+    monotone). Wherever z < -746, numpy's exp of it is 0 (a test pins
+    this) and the element is -0.0 whatever u is, so it is filled in
+    (``_tail_keep``) without computing u, which there is the subnormal
+    exp(-745) whenever k > -1.
     """
-    s = r * (t - d)
-    u = np.exp(np.minimum(np.maximum(-s, -745.0), 709.0))
-    return -np.exp(np.minimum(k - s + b * u, 709.0))
+    neg_s = r * (d - t)  # -r*(t-d), but for the sign of a zero, which exp ignores
+    z = k + neg_s
+    keep = _tail_keep(z, -746.0)
+    if keep is not None:
+        neg_s, z, b = (np.broadcast_to(v, keep.shape)[keep] for v in (neg_s, z, b))
+    u = np.exp(np.minimum(np.maximum(neg_s, -745.0), 709.0))
+    del neg_s  # one (R, m) array fewer at the peak below
+    out = -np.exp(np.minimum(z + b * u, 709.0))
+    return out if keep is None else _tail_fill(keep, -0.0, out)
 
 
 def loss_derivative(params: DCParams, t):

@@ -62,6 +62,14 @@ class TestGenData:
         assert err.startswith("error: m * n must be <= ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_dataset_beyond_memory_is_usage_error(self, tmp_path, capsys):
+        # under the m * n bound, but 4 EiB: the allocation request itself fails
+        out = tmp_path / "out"
+        assert run(["gen-data", "--out", out, "--m", 2**60 - 1, "--n", 1]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("half", ["--train-out", "--test-out"])
     def test_half_split_flags_write_nothing(self, half, tmp_path, capsys):
         assert run(["gen-data", "--out", tmp_path / "a.csv", half, tmp_path / "t.csv"]) == 2
@@ -175,7 +183,8 @@ class TestRates:
         out = tmp_path / "r.csv"
         assert run(["rates", "--out", out, "--r", 0.5, "--z-max=1e308"]) == 2
         assert capsys.readouterr().err == (
-            "error: g_values must be finite at every retained point\n")
+            "error: the rate at z = 8.994974874371859e+307 overflows float64: "
+            "set --z-max below it\n")
         assert not out.exists()
 
     def test_partial_range_keeps_valid_rows(self, tmp_path):

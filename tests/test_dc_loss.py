@@ -15,7 +15,13 @@ from dc_optlab import (
     per_sample_loss,
     response_probability,
 )
-from dc_optlab.dc_loss import LossConfigKind
+from dc_optlab.dc_loss import (
+    LossConfigKind,
+    _dc_derivative,
+    _derivative_constants,
+    _probability,
+)
+from dc_optlab.sweep import GridSpec
 from conftest import random_params
 
 
@@ -212,3 +218,141 @@ class TestClassifyConfig:
 
     def test_c_compared_exactly(self):
         assert classify_config(DCParams(r=1.0, c=1e-300, d=0.0, p_d=0.5)) is LossConfigKind.DECAYING_DC
+
+
+def reference_dc_derivative(t, r, d, b, k):
+    """The derivative kernel without its tail rule: every element through
+    the whole formula."""
+    s = r * (t - d)
+    u = np.exp(np.minimum(np.maximum(-s, -745.0), 709.0))
+    return -np.exp(np.minimum(k - s + b * u, 709.0))
+
+
+def reference_probability(t, r, d, a, b):
+    """The probability kernel without its tail rule."""
+    with np.errstate(over="ignore"):
+        z = -r * (np.asarray(t, dtype=float) - d)
+    u = np.exp(np.clip(z, -745.0, 709.0))
+    with np.errstate(over="ignore"):
+        return a * np.exp(b * u)
+
+
+def grid_params(rng, count):
+    """count configs drawn from the paper grid's axes."""
+    spec = GridSpec()
+    axes = [np.linspace(*spec.r_range, spec.r_steps), np.linspace(*spec.c_range, spec.c_steps),
+            np.linspace(*spec.d_range, spec.d_steps), np.linspace(*spec.p_d_range, spec.p_steps)]
+    return [DCParams(*(float(rng.choice(axis)) for axis in axes)) for _ in range(count)]
+
+
+# extremes: k > 708 (eps near 709), tiny and huge r
+EXTREME_PARAMS = [
+    DCParams(r=1.0, c=708.9, d=0.0, p_d=0.5),
+    DCParams(r=1e-3, c=0.7089, d=5.0, p_d=1e-300),
+    DCParams(r=1e-6, c=0.0, d=1.0, p_d=0.5),
+    DCParams(r=1e6, c=3.0, d=2.0, p_d=0.9),
+    DCParams(r=1e12, c=0.0, d=0.0, p_d=0.1),
+]
+
+
+def fuzz_margins(rng, p, size):
+    """Margins t = d + s/r with s over [-1e4, 1e4], dense near both tail
+    bounds and near 0, plus +-inf, NaN, +-0 and t == d."""
+    k = _derivative_constants(p)[3]
+    s = np.concatenate([
+        rng.uniform(-1e4, 1e4, size),
+        rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(-6.0, 4.0, size),
+        745.0 + rng.uniform(-1.0, 1.0, size),
+        k + 746.0 + rng.uniform(-1.0, 1.0, size),
+    ])
+    return np.concatenate([p.d + s / p.r, [np.inf, -np.inf, np.nan, 0.0, -0.0, p.d]])
+
+
+def assert_same_bits(got, want):
+    """Equal values, NaN at the same places and the same sign on every
+    number, so -0.0 must match too. A NaN's sign is left out: numpy's add
+    of two NaNs returns either one's depending on the element's position
+    in the array, so the whole formula gives it no stable sign."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
+class TestKernelTailRule:
+    """The kernels fill the elements far into the Gompertz tail instead of
+    computing them; the bits must be those of the whole formula."""
+
+    @staticmethod
+    def kernels(t, p):
+        r, d, b, k = _derivative_constants(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ((_dc_derivative(t, r, d, b, k), reference_dc_derivative(t, r, d, b, k)),
+                    (_probability(t, p.r, p.d, p.a, p.b),
+                     reference_probability(t, p.r, p.d, p.a, p.b)))
+
+    def test_fuzzed_margins_match_the_whole_formula(self, rng):
+        for p in grid_params(rng, 40) + EXTREME_PARAMS:
+            t = fuzz_margins(rng, p, 500)
+            for got, want in self.kernels(t, p):
+                assert_same_bits(got, want)
+            for got, want in self.kernels(rng.permutation(t)[t.size // 2:], p):
+                assert_same_bits(got, want)
+
+    def test_scalars_and_zero_d_arrays(self, rng):
+        for p in grid_params(rng, 10) + EXTREME_PARAMS:
+            for t in fuzz_margins(rng, p, 3):
+                for form in (float(t), np.float64(t), np.asarray(t)):
+                    for got, want in self.kernels(form, p):
+                        assert_same_bits(got, want)
+
+    def test_columns_against_rows(self, rng):
+        params = grid_params(rng, 12) + EXTREME_PARAMS
+        t = np.stack([fuzz_margins(rng, p, 100) for p in params])
+        cols = np.array([(p.r, p.d, p.a, p.b, _derivative_constants(p)[3])
+                         for p in params]).T[..., None]
+        r, d, a, b, k = cols
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(_dc_derivative(t, r, d, b, k), reference_dc_derivative(t, r, d, b, k))
+            assert_same_bits(_probability(t, r, d, a, b), reference_probability(t, r, d, a, b))
+        for j, p in enumerate(params):  # each row as a run of its own
+            for got, want in self.kernels(t[j], p):
+                assert_same_bits(got, want)
+
+    def test_empty_margins(self):
+        p = DCParams(r=2.0, c=1.0, d=1.0, p_d=0.7)
+        for t in (np.array([]), np.empty((3, 0))):
+            for got, want in self.kernels(t, p):
+                assert_same_bits(got, want)
+        assert loss_derivative(p, np.array([])).shape == (0,)
+        assert response_probability(p, np.array([])).shape == (0,)
+
+    def test_tail_is_filled_with_the_formula_bits(self):
+        p = DCParams(r=1.6521739130434785, c=1.5, d=1.5, p_d=0.9)
+        t = p.d + np.array([1e3, 1e4, np.inf]) / p.r
+        assert_same_bits(loss_derivative(p, t), [-0.0] * 3)
+        assert_same_bits(response_probability(p, t), [p.a] * 3)
+
+    def test_deep_tail_takes_no_subnormal(self, rng):
+        # the filled elements are never computed, so nothing underflows
+        params = grid_params(rng, 20) + EXTREME_PARAMS[2:]
+        for p in params:
+            t = p.d + rng.uniform(2e3, 1e4, 50) / p.r
+            r, d, b, k = _derivative_constants(p)
+            with np.errstate(under="raise"):
+                _dc_derivative(t, r, d, b, k)
+                _probability(t, p.r, p.d, p.a, p.b)
+        cols = np.array([(p.r, p.d, p.a, p.b) for p in params]).T[..., None]
+        t = cols[1] + rng.uniform(2e3, 1e4, (len(params), 50)) / cols[0]
+        with np.errstate(under="raise"):
+            _probability(t, *cols)
+
+    def test_exp_is_zero_at_and_below_minus_746(self):
+        # the derivative's tail rule rests on this property of numpy's exp
+        x = np.concatenate([np.linspace(-746.0, -2000.0, 1_000_001),
+                            -np.geomspace(2000.0, 1e308, 10_001),
+                            [-np.inf]])
+        with np.errstate(under="ignore"):
+            out = np.exp(x)
+        assert_same_bits(out, np.zeros_like(x))

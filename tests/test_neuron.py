@@ -21,11 +21,13 @@ from dc_optlab import (
     split,
     train,
 )
+from dc_optlab import dc_loss
 from dc_optlab.data import Dataset
 from dc_optlab.neuron import (
     Init,
     Mode,
     _accuracies,
+    _lockstep,
     _signed_features,
     _train_metrics,
     accuracy,
@@ -345,6 +347,83 @@ class TestTrain:
         cfg = TrainConfig(eta=0.01, batch_size=75, epochs=60, seed=3)
         traces = train(NO_DC, tr, te, cfg)
         assert traces[-1].test_accuracy >= 0.9
+
+
+# the benchmark's gd-fullbatch config 2, which full-batch GD drives far
+# into the Gompertz tail, and its config 1, which stays out of it
+SATURATING = DCParams(r=1.6521739130434785, c=1.5, d=1.5, p_d=0.9)
+UNSATURATED = DCParams(r=0.1, c=2.5, d=5.0, p_d=0.9)
+
+
+@pytest.fixture
+def tail_rule(monkeypatch):
+    """Records, per kernel call, each row's share of elements the tail rule
+    filled (None where it took the whole formula); ``off()`` turns the
+    rule off, so that the kernels compute every element."""
+    tail_keep = dc_loss._tail_keep
+
+    class Rule:
+        def __init__(self):
+            self.on, self.shares = True, []
+
+        def off(self):
+            self.on = False
+
+        def keep(self, z, bound):
+            keep = tail_keep(z, bound) if self.on else None
+            self.shares.append(None if keep is None else 1.0 - keep.mean(axis=-1))
+            return keep
+
+    rule = Rule()
+    monkeypatch.setattr(dc_loss, "_tail_keep", rule.keep)
+    return rule
+
+
+class TestSaturatedTraining:
+    """Training far into the Gompertz tail, where the kernels fill most
+    elements, against the per-run reference with the tail rule off."""
+
+    # full-batch steps about as large as the benchmark's (eta 0.01 summed over
+    # 80,000 rows): the weights reach the tail within two epochs
+    CFG = dict(eta=8.0, epochs=6, mode=Mode.GD)
+
+    @pytest.fixture
+    def data(self):
+        return split(generate(SyntheticSpec(m=100, seed=3)), 0.8, seed=3)
+
+    def test_saturated_gd_run_matches_the_reference(self, data, tail_rule):
+        tr, te = data
+        cfg = TrainConfig(batch_size=tr.m, **self.CFG)
+        theta, traces = train_with_weights(SATURATING, tr, te, cfg)
+        filled = np.array([s for s in tail_rule.shares if s is not None])
+        assert len(filled) >= 8 and filled.min() >= 0.8
+        tail_rule.off()
+        ref_theta, ref_rows = reference_train(SATURATING, tr, te, cfg)
+        assert bits(theta) == bits(ref_theta)
+        assert [bits(astuple(t)) for t in traces] == [bits(row) for row in ref_rows]
+
+    def test_mixed_lockstep_chunk_matches_the_reference(self, data, tail_rule):
+        tr, te = data
+        cfg = TrainConfig(batch_size=tr.m, **self.CFG)
+        params = [SATURATING, UNSATURATED]
+        signed = np.stack([_signed_features(tr)] * 2)
+        rngs = [np.random.default_rng(cfg.seed) for _ in params]
+        rows = [[], []]
+        for epoch, live, theta, acc in _lockstep(
+            params, signed, np.stack([te.features] * 2), np.stack([te.labels] * 2),
+            rngs, cfg, {},
+        ):
+            assert live.tolist() == [0, 1]
+            loss, norm, min_margin = _train_metrics(params, signed, theta)
+            for j in live:
+                rows[j].append((epoch, loss[j], acc[j], norm[j], min_margin[j]))
+        filled = [s for s in tail_rule.shares if s is not None]
+        assert max(s[0] for s in filled) >= 0.8 and max(s[1] for s in filled) == 0.0
+        tail_rule.off()
+        for j, p in enumerate(params):
+            ref_theta, ref_rows = reference_train(p, tr, te, cfg)
+            assert bits(theta[j]) == bits(ref_theta), j
+            assert [bits(row) for row in rows[j]] == [bits(row) for row in ref_rows], j
 
 
 class TestExports:
