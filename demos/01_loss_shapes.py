@@ -10,14 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from dc_optlab import (
-    DCParams,
-    classify_config,
-    loss_derivative,
-    margin_transform,
-    per_sample_loss,
-    response_probability,
-)
+import dc_optlab.cli
+from dc_optlab import DCParams, classify_config, loss_derivative, response_probability
 from dc_optlab.svgplot import Series, render_line_chart, save_svg
 
 OUT = Path(__file__).parent / "out"
@@ -64,16 +58,9 @@ save_svg(
     OUT / "loss_shapes_derivative.svg",
 )
 
-# csv with the same columns the `curves` command emits
-lines = ["config,t,prob,loss,derivative,f"]
-for name, p in CONFIGS.items():
-    for ti in t:
-        lines.append(
-            f"{name},{ti:.17g},{response_probability(p, ti):.17g},"
-            f"{per_sample_loss(p, ti):.17g},{loss_derivative(p, ti):.17g},"
-            f"{margin_transform(p, ti):.17g}"
-        )
-(OUT / "loss_shapes.csv").write_text("\n".join(lines) + "\n")
+# the four presets on the command's default grid, which is t above
+presets = [arg for name in CONFIGS for arg in ("--preset", name)]
+dc_optlab.cli.main(["curves", "--out", str(OUT / "loss_shapes.csv"), *presets])
 
 print(f"wrote {OUT / 'loss_shapes_prob.svg'}")
 print(f"wrote {OUT / 'loss_shapes_derivative.svg'}")

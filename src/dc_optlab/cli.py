@@ -9,7 +9,6 @@ in --help.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -31,16 +30,11 @@ from .data import (
     csv_text,
     generate,
     load_csv,
+    read_csv,
     save_csv,
     split,
 )
-from .errors import (
-    DCOptLabError,
-    DomainError,
-    FormatError,
-    ValidationError,
-    check_number,
-)
+from .errors import DCOptLabError, FormatError, ValidationError, check_number
 from .neuron import (
     Init,
     TRACE_HEADER,
@@ -51,7 +45,7 @@ from .neuron import (
     weights_json,
 )
 from .svgplot import Series, render_line_chart, save_svg
-from .sweep import GridSpec, build_grid, run_sweep, sample_grid
+from .sweep import SWEEP_HEADER, GridSpec, build_grid, run_sweep, sample_grid
 from .verification import run_suites
 
 PROTO = "(protocol default)"
@@ -247,6 +241,9 @@ def _parse_params_csv(text: str) -> DCParams:
     return DCParams(r=r, c=c, d=d, p_d=p_d)
 
 
+CURVES_HEADER = ("config", "t", "prob", "loss", "derivative", "f")
+
+
 def _cmd_curves(args) -> int:
     check_number("--samples", args.samples, 2, math.inf, "[)", integer=True)
     if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)) or args.t_min >= args.t_max:
@@ -277,8 +274,11 @@ def _cmd_curves(args) -> int:
         )
         rows.extend((name, *vals) for vals in zip(*columns))
     with open(args.out, "w", newline="") as fh:
-        fh.write(csv_text(("config", "t", "prob", "loss", "derivative", "f"), rows))
+        fh.write(csv_text(CURVES_HEADER, rows))
     return EXIT_OK
+
+
+RATES_HEADER = ("z", "g_dc", "g_default", "lower", "upper", "z_min")
 
 
 def _cmd_rates(args) -> int:
@@ -297,7 +297,7 @@ def _cmd_rates(args) -> int:
     onset = rate_onset(params)
     rows = ((zv, gv, zv, lo, up, onset) for zv, gv, lo, up in zip(z, g, lower, upper))
     with open(args.out, "w", newline="") as fh:
-        fh.write(csv_text(("z", "g_dc", "g_default", "lower", "upper", "z_min"), rows))
+        fh.write(csv_text(RATES_HEADER, rows))
     return EXIT_OK
 
 
@@ -361,7 +361,7 @@ def _load_grid_spec(path) -> GridSpec:
     with open(path, "r") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
             raise FormatError(f"grid spec is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValidationError(f"grid spec must be a JSON object, got {obj!r}")
@@ -414,87 +414,52 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _read_csv(path, expected_prefix: list[str]) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("missing header row", line=1) from None
-        if header[: len(expected_prefix)] != expected_prefix:
-            raise FormatError(
-                f"bad header {header!r}, expected it to start with {expected_prefix!r}",
-                line=1,
-            )
-        rows = [row for row in reader if row]
-    return header, rows
-
-
-def _float_col(rows, header, name, lineno_base=2):
-    i = header.index(name)
-    out = []
-    for k, row in enumerate(rows):
-        try:
-            out.append(float(row[i]))
-        except (ValueError, IndexError):
-            raise FormatError(f"bad value in column {name!r}", line=lineno_base + k) from None
-    return out
+# kind: (the columns a file must start with, the x column and then the y
+# columns plot reads, title, y label)
+_PLOTS = {
+    "curves": (CURVES_HEADER[:3], CURVES_HEADER[1:3], "response probability", CURVES_HEADER[2]),
+    "rates": (RATES_HEADER[:5], RATES_HEADER[:5], "convergence rate", "g"),
+    "trace": (TRACE_HEADER[:3], TRACE_HEADER, "training trace", "value"),
+    "sweep": (SWEEP_HEADER[:6], (SWEEP_HEADER[0], SWEEP_HEADER[-1]), "sweep outcome", "accuracy"),
+}
 
 
 def _cmd_plot(args) -> int:
-    if args.kind == "curves":
-        header, rows = _read_csv(args.infile, ["config", "t", "prob"])
-        labels = []
-        for row in rows:
-            if row[0] not in labels:
-                labels.append(row[0])
-        series = []
-        for label in labels:
-            sub = [row for row in rows if row[0] == label]
-            series.append(
-                Series.of(
-                    label,
-                    _float_col(sub, header, "t"),
-                    _float_col(sub, header, "prob"),
-                )
-            )
-        svg = render_line_chart(series, title="response probability",
-                                x_label="t", y_label="prob")
-    elif args.kind == "rates":
-        header, rows = _read_csv(args.infile, ["z", "g_dc", "g_default", "lower", "upper"])
-        z = _float_col(rows, header, "z")
-        series = [
-            Series.of(name, z, _float_col(rows, header, name))
-            for name in ("g_dc", "g_default", "lower", "upper")
-        ]
-        svg = render_line_chart(series, title="convergence rate", x_label="z", y_label="g")
-    elif args.kind == "trace":
-        header, rows = _read_csv(args.infile, ["epoch", "train_loss", "test_accuracy"])
-        epoch = _float_col(rows, header, "epoch")
-        series = [
-            Series.of(name, epoch, _float_col(rows, header, name))
-            for name in TRACE_HEADER[1:]
-            if name in header
-        ]
-        svg = render_line_chart(series, title="training trace", x_label="epoch", y_label="value")
-    else:  # sweep
-        header, rows = _read_csv(args.infile, ["config_id", "r", "c", "d", "p_d", "kind"])
-        acc_by_config: dict[int, list[float]] = {}
-        for k, row in enumerate(rows):
+    prefix, columns, title, y_label = _PLOTS[args.kind]
+    header, rows = read_csv(args.infile, prefix)
+    # the y columns the file has; beyond the prefix a column may be missing
+    names = [columns[0]] + [name for name in columns[1:] if name in header]
+    if len(names) == 1:
+        raise FormatError(f"header {header!r} has no column {columns[1]!r}", line=1)
+    index = [header.index(name) for name in names]
+    values: list[list[float]] = [[] for _ in names]
+    for line, row in rows:
+        for col, name, i in zip(values, names, index):
             try:
-                cid = int(row[0])
-                acc = float(row[header.index("final_accuracy")])
+                col.append(float(row[i]))
             except (ValueError, IndexError):
-                raise FormatError("bad sweep row", line=2 + k) from None
-            acc_by_config.setdefault(cid, []).append(acc)
-        ids = sorted(acc_by_config)
+                raise FormatError(f"bad value in column {name!r}", line=line) from None
+    x, *ys = values
+
+    if args.kind == "curves":
+        # one line per config label, in the order the labels first appear
+        points: dict[str, list[tuple[float, float]]] = {}
+        for (_, row), xv, yv in zip(rows, x, ys[0]):
+            points.setdefault(row[0], []).append((xv, yv))
+        series = [Series.of(label, *zip(*pts)) for label, pts in points.items()]
+    elif args.kind == "sweep":
+        # the mean of each config's finite accuracies
+        runs: dict[float, list[float]] = {}
+        for xv, yv in zip(x, ys[0]):
+            runs.setdefault(xv, []).append(yv)
+        ids = sorted(runs)
         means = [
-            float(np.mean([a for a in acc_by_config[i] if math.isfinite(a)] or [math.nan]))
-            for i in ids
+            float(np.mean([a for a in runs[i] if math.isfinite(a)] or [math.nan])) for i in ids
         ]
-        series = [Series.of("mean_final_accuracy", [float(i) for i in ids], means)]
-        svg = render_line_chart(series, title="sweep outcome", x_label="config_id",
-                                y_label="accuracy")
+        series = [Series.of(f"mean_{names[1]}", ids, means)]
+    else:
+        series = [Series.of(name, x, y) for name, y in zip(names[1:], ys)]
+    svg = render_line_chart(series, title=title, x_label=names[0], y_label=y_label)
     save_svg(svg, args.out)
     return EXIT_OK
 
@@ -519,13 +484,10 @@ def main(argv=None) -> int:
             if name.endswith("seed") and value is not None:
                 check_number(f"--{name.replace('_', '-')}", value, 0, math.inf, "[)", integer=True)
         return _COMMANDS[args.command](args)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValidationError, DomainError, DCOptLabError) as exc:
+    except DCOptLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -7,6 +7,7 @@ identical seeds give identical datasets on every platform. CSV output uses
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -138,43 +139,63 @@ def save_csv(data: Dataset, path) -> None:
         fh.write(dataset_csv(data))
 
 
+def read_csv(path, header_prefix) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Read a CSV file whose header starts with ``header_prefix``.
+
+    Returns the header and the non-blank rows, each with its 1-based line
+    number in the file. A mismatched header, bytes that are not UTF-8 and
+    rows the csv module rejects, such as a field over its size limit, raise
+    ``FormatError`` with the line number; I/O problems raise ``OSError``.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"not UTF-8 text: {exc.reason}", line=line) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, [])  # an empty file has an empty header
+        if header[: len(header_prefix)] != list(header_prefix):
+            raise FormatError(
+                f"bad header {header!r}, expected it to start with {list(header_prefix)!r}",
+                line=1,
+            )
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise FormatError(str(exc), line=reader.line_num) from None
+    return header, rows
+
+
 def load_csv(path) -> Dataset:
     """Load a dataset written by ``save_csv``; exact round trip.
 
     Raises ``FormatError`` (with line number) on malformed rows or labels
     outside {-1, +1}; I/O problems surface as ``OSError``.
     """
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("missing header row", line=1) from None
-        expected = [f"x{j + 1}" for j in range(len(header) - 1)] + ["y"]
-        if header != expected or len(header) < 2:
-            raise FormatError(f"bad header {header!r}, expected {expected!r}", line=1)
-        n = len(header) - 1
+    header, rows = read_csv(path, ())
+    expected = [f"x{j + 1}" for j in range(max(len(header) - 1, 1))] + ["y"]
+    if header != expected:
+        raise FormatError(f"bad header {header!r}, expected {expected!r}", line=1)
+    n = len(header) - 1
 
-        feats: list[list[float]] = []
-        labs: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n + 1:
-                raise FormatError(
-                    f"expected {n + 1} fields, got {len(row)}", line=lineno
-                )
-            try:
-                values = [float(v) for v in row[:n]]
-                label = int(row[n])
-            except ValueError as exc:
-                raise FormatError(str(exc), line=lineno) from None
-            if label not in (-1, 1):
-                raise FormatError(f"label must be -1 or +1, got {label}", line=lineno)
-            if not all(math.isfinite(v) for v in values):
-                raise FormatError("non-finite feature value", line=lineno)
-            feats.append(values)
-            labs.append(label)
+    feats: list[list[float]] = []
+    labs: list[int] = []
+    for lineno, row in rows:
+        if len(row) != n + 1:
+            raise FormatError(f"expected {n + 1} fields, got {len(row)}", line=lineno)
+        try:
+            values = [float(v) for v in row[:n]]
+            label = int(row[n])
+        except ValueError as exc:
+            raise FormatError(str(exc), line=lineno) from None
+        if label not in (-1, 1):
+            raise FormatError(f"label must be -1 or +1, got {label}", line=lineno)
+        if not all(math.isfinite(v) for v in values):
+            raise FormatError("non-finite feature value", line=lineno)
+        feats.append(values)
+        labs.append(label)
 
     features = np.array(feats, dtype=float).reshape(len(feats), n)
     return Dataset(features=features, labels=np.array(labs, dtype=int))

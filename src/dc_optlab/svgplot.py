@@ -7,6 +7,7 @@ ticks, and the legend lists series in input order.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 PALETTE = (
@@ -30,7 +31,9 @@ class Series:
                    y=tuple(float(v) for v in y))
 
 
-def _finite_extent(series: list[Series], attr: str) -> tuple[float, float]:
+def _finite_extent(series: list[Series], attr: str) -> tuple[float, float, float]:
+    """The range of the finite values, padded where they are all equal, and
+    the factor, 1 or 1/2 where hi - lo overflows, that keeps its width finite."""
     vals = [
         v
         for s in series
@@ -38,26 +41,32 @@ def _finite_extent(series: list[Series], attr: str) -> tuple[float, float]:
         if math.isfinite(v)
     ]
     if not vals:
-        return 0.0, 1.0
+        return 0.0, 1.0, 1.0
     lo, hi = min(vals), max(vals)
     if lo == hi:
-        pad = 0.5 if lo == 0 else abs(lo) * 0.1
-        return lo - pad, hi + pad
-    return lo, hi
+        # a tenth of the few smallest subnormals rounds to 0
+        pad = abs(lo) * 0.1 or 0.5
+        lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+    return lo, hi, 1.0 if math.isfinite(hi - lo) else 0.5
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    raw = (hi - lo) / max(target - 1, 1)
+def _ticks(lo: float, hi: float, k: float, target: int = 6) -> list[float]:
+    raw = (hi * k - lo * k) / max(target - 1, 1) / k
+    if raw <= 1e-323:
+        # 10.0 ** -324 underflows to 0: no decade step fits a span of a few
+        # subnormals, so its ends are the ticks
+        return [lo, hi]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if not t < t + step < math.inf:
+            break  # a step below half an ulp of t, or past float64, stalls t
         t += step
     return ticks
 
@@ -73,17 +82,18 @@ def render_line_chart(
     y_label: str = "",
 ) -> str:
     """Render series as a standalone SVG document string."""
-    x_lo, x_hi = _finite_extent(series, "x")
-    y_lo, y_hi = _finite_extent(series, "y")
+    x_lo, x_hi, x_k = _finite_extent(series, "x")
+    y_lo, y_hi, y_k = _finite_extent(series, "y")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
+    # v * 1.0 is v, so the factor moves no coordinate of a finite span
     def sx(v: float) -> float:
-        return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_L + (v * x_k - x_lo * x_k) / (x_hi * x_k - x_lo * x_k) * plot_w
 
     def sy(v: float) -> float:
-        return MARGIN_T + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + plot_h - (v * y_k - y_lo * y_k) / (y_hi * y_k - y_lo * y_k) * plot_h
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -103,7 +113,7 @@ def render_line_chart(
         f'<rect x="{MARGIN_L:.1f}" y="{MARGIN_T:.1f}" width="{plot_w:.1f}" '
         f'height="{plot_h:.1f}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    for t in _ticks(x_lo, x_hi):
+    for t in _ticks(x_lo, x_hi, x_k):
         px = sx(t)
         out.append(
             f'<line x1="{px:.2f}" y1="{MARGIN_T + plot_h:.2f}" x2="{px:.2f}" '
@@ -113,7 +123,7 @@ def render_line_chart(
             f'<text x="{px:.2f}" y="{MARGIN_T + plot_h + 18:.2f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
         )
-    for t in _ticks(y_lo, y_hi):
+    for t in _ticks(y_lo, y_hi, y_k):
         py = sy(t)
         out.append(
             f'<line x1="{MARGIN_L - 5:.2f}" y1="{py:.2f}" x2="{MARGIN_L:.2f}" '

@@ -167,6 +167,9 @@ class ConfigResult:
         }
 
 
+SWEEP_HEADER = ("config_id", "r", "c", "d", "p_d", "kind", "run", "final_loss", "final_accuracy")
+
+
 @dataclass
 class SweepResult:
     per_config: list[ConfigResult]
@@ -193,7 +196,7 @@ class SweepResult:
     def to_csv(self) -> str:
         nan = float("nan")
         return csv_text(
-            ("config_id", "r", "c", "d", "p_d", "kind", "run", "final_loss", "final_accuracy"),
+            SWEEP_HEADER,
             (
                 (
                     cfg.config_id, cfg.params.r, cfg.params.c, cfg.params.d, cfg.params.p_d,

@@ -1,13 +1,20 @@
 """Command surface: schemas, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dc_optlab
 from dc_optlab.cli import main
 
 
@@ -433,6 +440,15 @@ class TestSweep:
         assert run(["sweep", "--grid-spec", spec, "--m", 60, "--epochs", 2,
                     "--batch-size", 12]) == 3
 
+    @pytest.mark.parametrize("content", [b"\xff", b'{"seed": ' + b"1" * 5000 + b"}", b"[" * 10**5],
+                             ids=["not-utf8", "over-long-integer", "too-deep"])
+    def test_grid_spec_unreadable_is_format_error(self, content, tmp_path, capsys):
+        spec = tmp_path / "grid.json"
+        spec.write_bytes(content)
+        assert run(["sweep", "--grid-spec", spec]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: grid spec is not valid JSON: ")
+
     def test_grid_spec_unknown_field_is_usage_error(self, tmp_path):
         spec = tmp_path / "grid.json"
         spec.write_text(json.dumps({"bogus": 1}))
@@ -492,13 +508,6 @@ class TestPlot:
         for label in ("g_dc", "g_default", "lower", "upper"):
             assert label in text
 
-    def test_byte_deterministic(self, tmp_path):
-        src = self.make_rates_csv(tmp_path)
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        run(["plot", "--kind", "rates", "--in", src, "--out", a])
-        run(["plot", "--kind", "rates", "--in", src, "--out", b])
-        assert a.read_bytes() == b.read_bytes()
-
     def test_empty_series_gives_axes_only(self, tmp_path):
         src = tmp_path / "empty.csv"
         src.write_text("config,t,prob,loss,derivative,f\n")
@@ -508,22 +517,51 @@ class TestPlot:
         assert "<polyline" not in text
         assert "<rect" in text
 
-    def test_curves_and_trace_and_sweep_kinds(self, tmp_path):
-        curves = tmp_path / "c.csv"
-        run(["curves", "--out", curves, "--preset", "all", "--samples", 9])
-        assert run(["plot", "--kind", "curves", "--in", curves,
-                    "--out", tmp_path / "c.svg"]) == 0
+    # SHA-256 of the SVG each kind makes of a small file its writer emits
+    @pytest.mark.parametrize("kind, argv, sha256", [
+        ("curves", ["curves", "--preset", "all", "--samples", 9, "--out"],
+         "7fc2cbd43c218e01ecd96eabca6a87d0ba9ace5fa5c5c32741b2c9cdf3ac1d78"),
+        ("rates", ["rates", "--z-min", 3, "--z-max", 8, "--samples", 11, "--out"],
+         "d73268a4802eb750626bd4472224ff764c360f06afb08855efe4f9ed599ddc13"),
+        ("trace", ["train", "--m", 60, "--epochs", 4, "--batch-size", 12, "--trace-out"],
+         "50064cd8cb048da4c18f22fa943afa2e81243c40d55e1fe08321a5f243878742"),
+        ("sweep", ["sweep", "--profile", "desk", "--m", 60, "--epochs", 3,
+                   "--batch-size", 12, "--csv-out"],
+         "d4ad5cbc49177aca99b2d59446d320bbfdfe73d08ddc29baf406ec6b335b2616"),
+    ], ids=["curves", "rates", "trace", "sweep"])
+    def test_svg_matches_golden(self, kind, argv, sha256, tmp_path):
+        src, svg = tmp_path / "in.csv", tmp_path / "out.svg"
+        assert run([*argv, src]) == 0
+        assert run(["plot", "--kind", kind, "--in", src, "--out", svg]) == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == sha256
 
-        trace = tmp_path / "t.csv"
-        run(["train", "--trace-out", trace, "--m", 60, "--epochs", 4, "--batch-size", 12])
-        assert run(["plot", "--kind", "trace", "--in", trace,
-                    "--out", tmp_path / "t.svg"]) == 0
-
-        sweep_csv = tmp_path / "s.csv"
-        run(["sweep", "--profile", "desk", "--m", 60, "--epochs", 3,
-             "--batch-size", 12, "--csv-out", sweep_csv])
-        assert run(["plot", "--kind", "sweep", "--in", sweep_csv,
-                    "--out", tmp_path / "s.svg"]) == 0
+    @pytest.mark.parametrize("x, y", [
+        (("1", "1.0000000000000002"), ("1", "2")),  # the tick step is below an ulp
+        (("0", "5e-324"), ("1", "2")),  # the tick step underflows to 0
+        (("1", "2"), ("1e308", "-1e308")),  # the span overflows
+        (("1.7e308",), ("1",)),  # the padding of a flat series overflows
+        (("5e-324",), ("1",)),  # a tenth of the flat value rounds to 0
+        (("1.5", "1.7976931348623157e308"), ("1", "2")),  # a tick past float64
+    ], ids=["sub-ulp-step", "zero-step", "overflowing-span", "overflowing-pad",
+            "zero-pad", "tick-past-float64"])
+    def test_extreme_axis_spans_render(self, x, y, tmp_path):
+        # in a child whose address space is capped, so that a tick loop that
+        # never ends fails fast instead of filling the machine's memory
+        src, svg = tmp_path / "rates.csv", tmp_path / "rates.svg"
+        rows = "".join(f"{xv},{yv},1,1,1,1\n" for xv, yv in zip(x, y))
+        src.write_text("z,g_dc,g_default,lower,upper,z_min\n" + rows)
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "dc_optlab.cli", "plot", "--kind", "rates",
+             "--in", str(src), "--out", str(svg)],
+            env={**os.environ, "PYTHONPATH": str(Path(dc_optlab.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        text = svg.read_text()
+        assert text.count("<polyline") == (4 if len(x) > 1 else 0)
+        assert "nan" not in text and "inf" not in text
 
     def test_bad_header_is_format_error(self, tmp_path):
         src = tmp_path / "bad.csv"
@@ -533,3 +571,44 @@ class TestPlot:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["plot", "--kind", "rates", "--in", tmp_path / "nope.csv",
                     "--out", tmp_path / "x.svg"]) == 3
+
+
+class TestMalformedFiles:
+    """The same fault in a file of each reader, `plot` and `train --data`:
+    one error line with the line the fault is on, and exit 3."""
+
+    LONG = "9" * 200_000
+
+    # case: (plot kind, plot input, train --data input, faulty line)
+    CASES = {
+        "bad-value-in-second-label": (
+            "curves", b"config,t,prob\na,0,0.5\na,1,0.6\nb,0,0.5\nb,1,oops\n",
+            b"x1,x2,y\n0,0,1\n1,1,-1\n0,0,1\n1,oops,-1\n", 5),
+        "blank-line-before-bad-row": (
+            "rates", b"z,g_dc,g_default,lower,upper\n3,1,3,0,2\n\n4,oops,4,0,2\n",
+            b"x1,x2,y\n0,0,1\n\n1,oops,-1\n", 4),
+        "non-utf8-bytes": (
+            "trace", b"epoch,train_loss,test_accuracy\n1,0.5,0.5\n2,0.4,\xff\n",
+            b"x1,x2,y\n0,0,1\n1,\xff,-1\n", 3),
+        "over-long-field": (
+            "trace", f"epoch,train_loss,test_accuracy\n1,0.5,0.5\n2,0.4,{LONG}\n".encode(),
+            f"x1,x2,y\n0,0,1\n1,{LONG},-1\n".encode(), 3),
+        "missing-column": (
+            "sweep", b"config_id,r,c,d,p_d,kind,run,final_loss\n0,1,0,0,0.5,no-dc,0,0.1\n",
+            b"x1,x2\n0,0\n", 1),
+    }
+
+    @pytest.mark.parametrize("reader", ["plot", "train"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line_with_the_true_line_number(self, case, reader, tmp_path, capsys):
+        kind, plot_input, data_input, line = self.CASES[case]
+        src = tmp_path / "in.csv"
+        if reader == "plot":
+            src.write_bytes(plot_input)
+            argv = ["plot", "--kind", kind, "--in", src, "--out", tmp_path / "out.svg"]
+        else:
+            src.write_bytes(data_input)
+            argv = ["train", "--data", src, "--trace-out", tmp_path / "t.csv"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: line {line}: "), err

@@ -1,13 +1,18 @@
 """Golden outputs: the four demos rebuild the files tracked in demos/out
 byte for byte, so a change that moves a single bit of their results, or
 drops a name they import from ``dc_optlab``, fails here. The README's
-library quick start runs as written."""
+library quick start runs as written, and its file schemas are the
+writers' headers."""
 
 import runpy
 import shutil
 from pathlib import Path
 
 import pytest
+
+from dc_optlab.cli import CURVES_HEADER, RATES_HEADER
+from dc_optlab.neuron import TRACE_HEADER
+from dc_optlab.sweep import SWEEP_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -37,3 +42,12 @@ def test_readme_quick_start_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
     assert 0.9 < float(capsys.readouterr().out) <= 1.0
+
+
+def test_readme_file_schemas_match_the_writers():
+    section = (ROOT / "README.md").read_text().split("### File schemas", 1)[1]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    table = {producer.strip(): header.strip() for producer, header in rows}
+    for producer, header in [("curves", CURVES_HEADER), ("rates", RATES_HEADER),
+                             ("train", TRACE_HEADER), ("sweep --csv-out", SWEEP_HEADER)]:
+        assert table[f"`{producer}`"] == f"`{','.join(header)}`", producer
