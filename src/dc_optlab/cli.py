@@ -3,16 +3,16 @@ emission, bound verification, training, sweeping, and SVG plotting.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O or
 format error. Every command is deterministic given its flags and seeds.
-Defaults that mirror the experiment protocol (m=1000, 80/20 split, batch
-75, 1500 epochs, 10 runs, 2.5% pick) are annotated "(protocol default)"
-in --help.
+A flag that feeds a config field (``SyntheticSpec``, ``TrainConfig``,
+``GridSpec``) takes its default from that class; defaults that mirror the
+experiment protocol are annotated "(protocol default)" in --help.
 """
 
 import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -28,11 +28,12 @@ from .dc_loss import (
 from .data import (
     SyntheticSpec,
     csv_text,
+    dataset_csv,
     generate,
     load_csv,
     read_csv,
-    save_csv,
     split,
+    write_text,
 )
 from .errors import DCOptLabError, FormatError, ValidationError, check_number
 from .neuron import (
@@ -45,8 +46,15 @@ from .neuron import (
     weights_json,
 )
 from .svgplot import Series, render_line_chart, save_svg
-from .sweep import SWEEP_HEADER, GridSpec, build_grid, run_sweep, sample_grid
-from .verification import run_suites
+from .sweep import (
+    ACCURACY_THRESHOLD,
+    SWEEP_HEADER,
+    GridSpec,
+    build_grid,
+    run_sweep,
+    sample_grid,
+)
+from .verification import GRADIENT_SEED, SUITES, run_suites
 
 PROTO = "(protocol default)"
 
@@ -56,6 +64,10 @@ PRESETS = {
     "decaying-dc": dict(r=1.0, c=2.0, d=0.0, p_d=0.5),
     "grow-decay-dc": dict(r=3.0, c=2.0, d=0.0, p_d=0.5),
 }
+
+# the desk profile: a reduced grid and fewer epochs than the protocol
+DESK_GRID = dict(d_steps=2, p_steps=2, r_steps=4, c_steps=4, pick_fraction=0.125, runs=3)
+DESK_EPOCHS = 300
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -70,13 +82,34 @@ def _add_params_flags(p: argparse.ArgumentParser, with_preset: bool = True):
             choices=sorted(PRESETS),
             help="named loss configuration; overrides --r/--c/--d/--p-d",
         )
-    p.add_argument("--r", type=float, default=1.0, help="growth rate (default 1.0)")
-    p.add_argument("--c", type=float, default=0.0, help="decay rate (default 0.0)")
-    p.add_argument("--d", type=float, default=0.0, help="difficulty (default 0.0)")
-    p.add_argument(
-        "--p-d", type=float, default=0.5, dest="p_d",
-        help="response probability at t=d (default 0.5)",
-    )
+    no_dc = PRESETS["no-dc"]
+    p.add_argument("--r", type=float, default=no_dc["r"], help="growth rate (default %(default)s)")
+    p.add_argument("--c", type=float, default=no_dc["c"], help="decay rate (default %(default)s)")
+    p.add_argument("--d", type=float, default=no_dc["d"], help="difficulty (default %(default)s)")
+    # not %(default)s: rates moves this default with set_defaults
+    p.add_argument("--p-d", type=float, default=no_dc["p_d"],
+                   help=f"response probability at t=d (default {no_dc['p_d']})")
+
+
+def _add_data_flags(p: argparse.ArgumentParser, seed_flag: str):
+    """The synthetic-data and split flags that gen-data and train share."""
+    p.add_argument("--m", type=int, default=SyntheticSpec.m,
+                   help=f"synthetic samples, default %(default)s {PROTO}")
+    p.add_argument("--center-distance", type=float, default=SyntheticSpec.center_distance,
+                   help="synthetic blob center (default %(default)s)")
+    p.add_argument("--noise-sigma", type=float, default=SyntheticSpec.noise_sigma,
+                   help="synthetic noise sigma (default %(default)s)")
+    p.add_argument(seed_flag, type=int, default=SyntheticSpec.seed,
+                   help="synthetic data seed (default %(default)s)")
+    p.add_argument("--split-fraction", type=float, default=SyntheticSpec.split_fraction,
+                   help=f"train fraction, default %(default)s {PROTO}")
+    p.add_argument("--split-seed", type=int, default=0, help="split seed (default %(default)s)")
+
+
+def _synthetic_spec(args, **own) -> SyntheticSpec:
+    """The SyntheticSpec of ``_add_data_flags``' flags and a command's ``own`` fields."""
+    shared = ("m", "center_distance", "noise_sigma", "split_fraction")
+    return SyntheticSpec(**{name: getattr(args, name) for name in shared}, **own)
 
 
 def _params_from_args(args) -> DCParams:
@@ -96,19 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     # gen-data
     p = sub.add_parser("gen-data", help="generate a synthetic blob dataset CSV")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--m", type=int, default=1000, help=f"samples, default 1000 {PROTO}")
-    p.add_argument("--n", type=int, default=2, help=f"features, default 2 {PROTO}")
-    p.add_argument("--center-distance", type=float, default=1.5,
-                   help="blob center per coordinate (default 1.5)")
-    p.add_argument("--noise-sigma", type=float, default=1.0,
-                   help="per-coordinate std dev (default 1.0)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    _add_data_flags(p, "--seed")
+    p.add_argument("--n", type=int, default=SyntheticSpec.n,
+                   help=f"features, default %(default)s {PROTO}")
     p.add_argument("--train-out", help="also write the train split to this CSV")
     p.add_argument("--test-out", help="also write the test split to this CSV")
-    p.add_argument("--split-fraction", type=float, default=0.8,
-                   help=f"train fraction, default 0.8 {PROTO}")
-    p.add_argument("--split-seed", type=int, default=0,
-                   help="seed for the split permutation (default 0)")
 
     # curves
     p = sub.add_parser("curves", help="emit loss-shape curves as CSV")
@@ -138,11 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run numerical property suites")
     p.add_argument(
         "--suite", action="append", required=True,
-        choices=["lambert", "theorem", "corollary", "gradient", "all"],
+        choices=[*SUITES, "all"],
         help="suite to run; repeatable",
     )
-    p.add_argument("--seed", type=int, default=20240801,
-                   help="seed for the gradient suite's random triples (default 20240801)")
+    p.add_argument("--seed", type=int, default=GRADIENT_SEED,
+                   help="seed for the gradient suite's random triples (default %(default)s)")
     p.add_argument("--json-out", help="write the JSON report here (default stdout)")
 
     # train
@@ -151,32 +176,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-out", help="optional JSON path for the final weights")
     _add_params_flags(p)
     p.add_argument("--data", help="input dataset CSV; omitted = generate synthetic data")
-    p.add_argument("--m", type=int, default=1000, help=f"synthetic samples, default 1000 {PROTO}")
-    p.add_argument("--center-distance", type=float, default=1.5,
-                   help="synthetic blob center (default 1.5)")
-    p.add_argument("--noise-sigma", type=float, default=1.0,
-                   help="synthetic noise sigma (default 1.0)")
-    p.add_argument("--data-seed", type=int, default=0, help="synthetic data seed (default 0)")
-    p.add_argument("--split-fraction", type=float, default=0.8,
-                   help=f"train fraction, default 0.8 {PROTO}")
-    p.add_argument("--split-seed", type=int, default=0, help="split seed (default 0)")
-    p.add_argument("--eta", type=float, default=0.01, help="step size (default 0.01)")
-    p.add_argument("--batch-size", type=int, default=75, help=f"minibatch size, default 75 {PROTO}")
-    p.add_argument("--epochs", type=int, default=1500, help=f"epochs, default 1500 {PROTO}")
-    p.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.SGD.value,
-                   help=f"optimizer mode, default sgd {PROTO}")
-    p.add_argument("--init", choices=[i.value for i in Init], default=Init.ZEROS.value,
-                   help="weight initialization (default zeros)")
+    _add_data_flags(p, "--data-seed")
+    p.add_argument("--eta", type=float, default=TrainConfig.eta,
+                   help="step size (default %(default)s)")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                   help=f"minibatch size, default %(default)s {PROTO}")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                   help=f"epochs, default %(default)s {PROTO}")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed,
+                   help="training seed (default %(default)s)")
+    p.add_argument("--mode", choices=[m.value for m in Mode], default=TrainConfig.mode.value,
+                   help=f"optimizer mode, default %(default)s {PROTO}")
+    p.add_argument("--init", choices=[i.value for i in Init], default=TrainConfig.init.value,
+                   help="weight initialization (default %(default)s)")
 
     # sweep
     p = sub.add_parser("sweep", help="run the hyperparameter sweep protocol")
     p.add_argument("--json-out", help="write the aggregated JSON result here")
     p.add_argument("--csv-out", help="write the flat per-run CSV here")
+    desk_steps = ",".join(str(DESK_GRID[f"{axis}_steps"]) for axis in "dprc")
     p.add_argument(
         "--profile", choices=["paper", "desk"], default="paper",
-        help="paper: full grid, 10 runs, 1500 epochs; desk: reduced grid "
-             "(2,2,4,4 steps), 12.5%% pick, 3 runs, 300 epochs (default paper)",
+        help=f"paper: full grid, {GridSpec.runs} runs, {TrainConfig.epochs} epochs; desk: "
+             f"reduced grid ({desk_steps} steps), {100 * DESK_GRID['pick_fraction']:g}%% pick, "
+             f"{DESK_GRID['runs']} runs, {DESK_EPOCHS} epochs (default %(default)s)",
     )
     p.add_argument("--grid-spec", help="JSON file with GridSpec fields; "
                    "step/pick/runs/seed flags still override it")
@@ -185,19 +208,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-steps", type=int, help="override grid points on the r axis")
     p.add_argument("--c-steps", type=int, help="override grid points on the c axis")
     p.add_argument("--pick-fraction", type=float,
-                   help=f"grid fraction to sample, default 0.025 {PROTO}")
-    p.add_argument("--runs", type=int, help=f"runs per config, default 10 {PROTO}")
-    p.add_argument("--epochs", type=int, help=f"epochs per run, default 1500 {PROTO}")
-    p.add_argument("--batch-size", type=int, default=75,
-                   help=f"minibatch size, default 75 {PROTO}")
-    p.add_argument("--eta", type=float, default=0.01, help="step size (default 0.01)")
-    p.add_argument("--m", type=int, default=1000, help=f"samples per dataset, default 1000 {PROTO}")
-    p.add_argument("--split-fraction", type=float, default=0.8,
-                   help=f"train fraction, default 0.8 {PROTO}")
-    p.add_argument("--accuracy-threshold", type=float, default=0.95,
-                   help="epochs-to-threshold accuracy level (default 0.95)")
+                   help=f"grid fraction to sample, default {GridSpec.pick_fraction} {PROTO}")
+    p.add_argument("--runs", type=int, help=f"runs per config, default {GridSpec.runs} {PROTO}")
+    p.add_argument("--epochs", type=int,
+                   help=f"epochs per run, default {TrainConfig.epochs} {PROTO}")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                   help=f"minibatch size, default %(default)s {PROTO}")
+    p.add_argument("--eta", type=float, default=TrainConfig.eta,
+                   help="step size (default %(default)s)")
+    p.add_argument("--m", type=int, default=SyntheticSpec.m,
+                   help=f"samples per dataset, default %(default)s {PROTO}")
+    p.add_argument("--split-fraction", type=float, default=SyntheticSpec.split_fraction,
+                   help=f"train fraction, default %(default)s {PROTO}")
+    p.add_argument("--accuracy-threshold", type=float, default=ACCURACY_THRESHOLD,
+                   help="epochs-to-threshold accuracy level (default %(default)s)")
     p.add_argument("--seed", type=int, default=None,
-                   help="sweep seed; overrides --grid-spec (default 0)")
+                   help=f"sweep seed; overrides --grid-spec (default {GridSpec.seed})")
 
     # plot
     p = sub.add_parser("plot", help="render a CSV emitted by this tool as SVG")
@@ -210,14 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
-    spec = SyntheticSpec(
-        m=args.m,
-        n=args.n,
-        center_distance=args.center_distance,
-        noise_sigma=args.noise_sigma,
-        split_fraction=args.split_fraction,
-        seed=args.seed,
-    )
+    spec = _synthetic_spec(args, n=args.n, seed=args.seed)
     if bool(args.train_out) != bool(args.test_out):
         raise ValidationError("--train-out and --test-out must be given together")
     data = generate(spec)
@@ -226,7 +245,7 @@ def _cmd_gen_data(args) -> int:
         train_set, test_set = split(data, args.split_fraction, args.split_seed)
         outputs += [(train_set, args.train_out), (test_set, args.test_out)]
     for dataset, path in outputs:
-        save_csv(dataset, path)
+        write_text(path, dataset_csv(dataset))
     return EXIT_OK
 
 
@@ -251,16 +270,12 @@ def _cmd_curves(args) -> int:
     if not math.isfinite(args.t_max - args.t_min):
         raise ValidationError("--t-max - --t-min must be finite")
 
-    configs: list[tuple[str, DCParams]] = []
-    presets = args.preset or []
+    # neither --preset nor --params: all four presets
+    presets = args.preset or ([] if args.params else ["all"])
     if "all" in presets:
         presets = sorted(PRESETS)
-    for name in presets:
-        configs.append((name, DCParams(**PRESETS[name])))
-    for idx, text in enumerate(args.params or []):
-        configs.append((f"custom{idx}", _parse_params_csv(text)))
-    if not configs:
-        configs = [(name, DCParams(**PRESETS[name])) for name in sorted(PRESETS)]
+    configs = [(name, DCParams(**PRESETS[name])) for name in presets]
+    configs += [(f"custom{i}", _parse_params_csv(text)) for i, text in enumerate(args.params or [])]
 
     t = np.linspace(args.t_min, args.t_max, args.samples)
     rows = []
@@ -273,8 +288,7 @@ def _cmd_curves(args) -> int:
             margin_transform(params, t),
         )
         rows.extend((name, *vals) for vals in zip(*columns))
-    with open(args.out, "w", newline="") as fh:
-        fh.write(csv_text(CURVES_HEADER, rows))
+    write_text(args.out, csv_text(CURVES_HEADER, rows))
     return EXIT_OK
 
 
@@ -296,8 +310,7 @@ def _cmd_rates(args) -> int:
     lower, upper = bracket_curves(params, z)
     onset = rate_onset(params)
     rows = ((zv, gv, zv, lo, up, onset) for zv, gv, lo, up in zip(z, g, lower, upper))
-    with open(args.out, "w", newline="") as fh:
-        fh.write(csv_text(RATES_HEADER, rows))
+    write_text(args.out, csv_text(RATES_HEADER, rows))
     return EXIT_OK
 
 
@@ -305,8 +318,7 @@ def _cmd_verify(args) -> int:
     report = run_suites(args.suite, gradient_seed=args.seed)
     text = json.dumps(report, indent=2)
     if args.json_out:
-        with open(args.json_out, "w", newline="") as fh:
-            fh.write(text + "\n")
+        write_text(args.json_out, text + "\n")
     else:
         print(text)
     for suite in report["suites"]:
@@ -321,30 +333,13 @@ def _cmd_train(args) -> int:
     if args.data:
         data = load_csv(args.data)
     else:
-        data = generate(
-            SyntheticSpec(
-                m=args.m,
-                n=2,
-                center_distance=args.center_distance,
-                noise_sigma=args.noise_sigma,
-                split_fraction=args.split_fraction,
-                seed=args.data_seed,
-            )
-        )
+        data = generate(_synthetic_spec(args, seed=args.data_seed))
     train_set, test_set = split(data, args.split_fraction, args.split_seed)
-    cfg = TrainConfig(
-        eta=args.eta,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-        mode=Mode(args.mode),
-        init=Init(args.init),
-    )
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     theta, traces = train_with_weights(params, train_set, test_set, cfg)
     save_trace_csv(traces, args.trace_out)
     if args.weights_out:
-        with open(args.weights_out, "w", newline="") as fh:
-            fh.write(weights_json(theta) + "\n")
+        write_text(args.weights_out, weights_json(theta) + "\n")
     last = traces[-1]
     print(
         f"trained {cfg.epochs} epochs: train_loss={last.train_loss:.6g} "
@@ -353,12 +348,8 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-DESK_GRID = dict(d_steps=2, p_steps=2, r_steps=4, c_steps=4, pick_fraction=0.125, runs=3)
-DESK_EPOCHS = 300
-
-
 def _load_grid_spec(path) -> GridSpec:
-    with open(path, "r") as fh:
+    with open(path, "rb") as fh:  # json detects the UTF encoding, not the locale
         try:
             obj = json.load(fh)
         except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
@@ -379,14 +370,13 @@ def _cmd_sweep(args) -> int:
         spec = GridSpec(**DESK_GRID) if desk else GridSpec()
     flags = ("d_steps", "p_steps", "r_steps", "c_steps", "pick_fraction", "runs", "seed")
     spec = replace(spec, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
-    epochs = args.epochs if args.epochs is not None else (DESK_EPOCHS if desk else 1500)
+    default_epochs = DESK_EPOCHS if desk else TrainConfig.epochs
+    epochs = default_epochs if args.epochs is None else args.epochs
 
     grid = build_grid(spec)
     configs = sample_grid(grid, spec.pick_fraction, spec.seed)
-    data_spec = SyntheticSpec(m=args.m, n=2, split_fraction=args.split_fraction, seed=0)
-    train_cfg = TrainConfig(
-        eta=args.eta, batch_size=args.batch_size, epochs=epochs, seed=0
-    )
+    data_spec = SyntheticSpec(m=args.m, split_fraction=args.split_fraction)
+    train_cfg = TrainConfig(eta=args.eta, batch_size=args.batch_size, epochs=epochs)
     result = run_sweep(
         configs,
         data_spec,
@@ -397,11 +387,9 @@ def _cmd_sweep(args) -> int:
     )
 
     if args.json_out:
-        with open(args.json_out, "w", newline="") as fh:
-            fh.write(result.to_json() + "\n")
+        write_text(args.json_out, result.to_json() + "\n")
     if args.csv_out:
-        with open(args.csv_out, "w", newline="") as fh:
-            fh.write(result.to_csv())
+        write_text(args.csv_out, result.to_csv())
 
     print(f"sweep: |grid|={len(grid)}, sampled={len(configs)}, runs={spec.runs}, "
           f"epochs={epochs}, excluded_runs={result.excluded_runs}")

@@ -28,6 +28,12 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, which ``read_csv`` decodes, newlines as given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix (m x n) paired with labels in {-1, +1}."""
@@ -128,15 +134,14 @@ def split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     return data.subset(perm[:k]), data.subset(perm[k:])
 
 
+def _dataset_header(n: int) -> list[str]:
+    return [f"x{j + 1}" for j in range(n)] + ["y"]
+
+
 def dataset_csv(data: Dataset) -> str:
     """Render as CSV with header x1,...,xn,y."""
-    header = [f"x{j + 1}" for j in range(data.n)] + ["y"]
-    return csv_text(header, ([*row, y] for row, y in zip(data.features, data.labels)))
-
-
-def save_csv(data: Dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(dataset_csv(data))
+    rows = ([*row, y] for row, y in zip(data.features, data.labels))
+    return csv_text(_dataset_header(data.n), rows)
 
 
 def read_csv(path, header_prefix) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -169,13 +174,13 @@ def read_csv(path, header_prefix) -> tuple[list[str], list[tuple[int, list[str]]
 
 
 def load_csv(path) -> Dataset:
-    """Load a dataset written by ``save_csv``; exact round trip.
+    """Load a dataset that ``dataset_csv`` rendered; exact round trip.
 
     Raises ``FormatError`` (with line number) on malformed rows or labels
     outside {-1, +1}; I/O problems surface as ``OSError``.
     """
     header, rows = read_csv(path, ())
-    expected = [f"x{j + 1}" for j in range(max(len(header) - 1, 1))] + ["y"]
+    expected = _dataset_header(max(len(header) - 1, 1))
     if header != expected:
         raise FormatError(f"bad header {header!r}, expected {expected!r}", line=1)
     n = len(header) - 1

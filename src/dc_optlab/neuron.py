@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
     check_number,
 )
-from .data import Dataset, csv_text
+from .data import Dataset, csv_text, write_text
 
 
 class Mode(str, enum.Enum):
@@ -334,8 +334,7 @@ def trace_csv(traces: list[EpochTrace]) -> str:
 
 
 def save_trace_csv(traces: list[EpochTrace], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(trace_csv(traces))
+    write_text(path, trace_csv(traces))
 
 
 def weights_json(theta: np.ndarray) -> str:

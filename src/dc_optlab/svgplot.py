@@ -10,6 +10,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .data import write_text
+
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#000000",
     "#9467bd", "#ff7f0e", "#8c564b", "#7f7f7f",
@@ -192,5 +194,4 @@ def _escape(text: str) -> str:
 
 
 def save_svg(svg_text: str, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(svg_text)
+    write_text(path, svg_text)

@@ -37,6 +37,9 @@ from .neuron import (
 # memory grows about 80 KB a job.
 _CHUNK = 64
 
+# the test accuracy whose first epoch a run reports as epochs_to_threshold
+ACCURACY_THRESHOLD = 0.95
+
 # families that compete for a "best" entry; decaying-only configs are
 # recorded but de-emphasized
 BEST_FAMILIES = (
@@ -324,7 +327,7 @@ def run_sweep(
     train_cfg: TrainConfig,
     runs: int,
     seed: int,
-    accuracy_threshold: float = 0.95,
+    accuracy_threshold: float = ACCURACY_THRESHOLD,
 ) -> SweepResult:
     """Train every config `runs` times and aggregate.
 

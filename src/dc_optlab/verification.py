@@ -15,7 +15,14 @@ from .data import Dataset
 from .lambert_w import BRANCH_POINT, w0
 from .neuron import empirical_loss, loss_gradient
 
-SUITE_NAMES = ("lambert", "theorem", "corollary", "gradient")
+GRADIENT_SEED = 20240801
+# suite name -> runner of the gradient seed; a suite is looked up when it runs
+SUITES = {
+    "lambert": lambda seed: lambert_suite(),
+    "theorem": lambda seed: theorem_suite(),
+    "corollary": lambda seed: corollary_suite(),
+    "gradient": lambda seed: gradient_suite(seed=seed),
+}
 
 # bracket-certificate grid: 9 b values x 200 log-spaced z in (e, 50]
 THEOREM_B_GRID = (-20.0, -10.0, -5.0, -2.0, -1.0, -0.5, -0.1, -0.01, -0.001)
@@ -119,7 +126,7 @@ def corollary_suite() -> dict:
     return {"suite": "corollary", "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def gradient_suite(trials: int = 100, seed: int = 20240801) -> dict:
+def gradient_suite(trials: int = 100, seed: int = GRADIENT_SEED) -> dict:
     """Analytic gradient vs central differences on random (params, theta, data).
 
     Step per coordinate is 1e-6 * (1 + |theta_j|); mismatch is measured
@@ -163,13 +170,7 @@ def gradient_suite(trials: int = 100, seed: int = 20240801) -> dict:
     return {"suite": "gradient", "passed": check["passed"], "checks": [check]}
 
 
-def run_suites(names, gradient_seed: int = 20240801) -> dict:
-    runners = {
-        "lambert": lambert_suite,
-        "theorem": theorem_suite,
-        "corollary": corollary_suite,
-        "gradient": lambda: gradient_suite(seed=gradient_seed),
-    }
-    selected = list(SUITE_NAMES) if "all" in names else list(names)
-    suites = [runners[name]() for name in selected]
+def run_suites(names, gradient_seed: int = GRADIENT_SEED) -> dict:
+    selected = SUITES if "all" in names else names
+    suites = [SUITES[name](gradient_seed) for name in selected]
     return {"passed": all(s["passed"] for s in suites), "suites": suites}

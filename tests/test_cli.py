@@ -1,7 +1,10 @@
 """Command surface: schemas, determinism, exit codes."""
 
+import argparse
+import codecs
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -9,13 +12,16 @@ import resource
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dc_optlab
+from dc_optlab import DCParams, GridSpec, SyntheticSpec, TrainConfig, cli, run_sweep
 from dc_optlab.cli import main
+from dc_optlab.verification import gradient_suite, run_suites
 
 
 def run(args):
@@ -612,3 +618,259 @@ class TestMalformedFiles:
         assert run(argv) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: line {line}: "), err
+
+
+class TestUtf8Files:
+    """Every file the tool writes or reads is UTF-8, whatever the locale."""
+
+    def run_in_c_locale(self, argv, cwd):
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(dc_optlab.__file__).parents[1])}
+        probe = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        if codecs.lookup(probe.stdout.strip()).name == "utf-8":
+            pytest.skip("the C locale's preferred encoding is UTF-8 here")
+        return subprocess.run([sys.executable, "-m", "dc_optlab.cli", *map(str, argv)],
+                              env=env, cwd=cwd, capture_output=True, timeout=60)
+
+    def test_non_ascii_label_plots(self, tmp_path):
+        src = tmp_path / "e.csv"
+        src.write_bytes("config,t,prob\né,0,0.5\né,1,0.6\n".encode())
+        proc = self.run_in_c_locale(["plot", "--kind", "curves", "--in", src,
+                                     "--out", tmp_path / "e.svg"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert ">é</text>" in (tmp_path / "e.svg").read_bytes().decode("utf-8")
+
+    def test_non_ascii_grid_spec_field_is_usage_error(self, tmp_path):
+        spec = tmp_path / "grid.json"
+        spec.write_bytes('{"seed": 1, "nöte": 1}'.encode())
+        proc = self.run_in_c_locale(["sweep", "--grid-spec", spec], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: bad grid spec field: ")
+        assert b"Traceback" not in proc.stderr
+
+
+class Stop(Exception):
+    """Ends a command at a spied call."""
+
+
+def spy(monkeypatch, name, stop=False):
+    """Record the arguments of each call of ``cli.<name>``; raise Stop if ``stop``."""
+    calls = []
+    real = getattr(cli, name)
+
+    def record(*args, **kwargs):
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+        if stop:
+            raise Stop
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, record)
+    return calls
+
+
+def help_entries(command, capsys) -> dict[str, str]:
+    """Each option's --help text on one line, keyed by its flag."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    entries, flag = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0].rstrip(",")
+            entries[flag] = line
+        elif flag and line.startswith("   "):
+            entries[flag] += " " + line.strip()
+    return entries
+
+
+def assert_help_names(command, values, capsys):
+    entries = help_entries(command, capsys)
+    for flag, value in values.items():
+        assert f"default {value}" in entries[flag], (flag, value, entries[flag])
+
+
+class TestDefaults:
+    """With only its required flags, each command builds the library's defaults
+    and its --help names them."""
+
+    def test_gen_data(self, monkeypatch, tmp_path, capsys):
+        generate = spy(monkeypatch, "generate", stop=True)
+        with pytest.raises(Stop):
+            run(["gen-data", "--out", tmp_path / "d.csv"])
+        spec = generate[0]["spec"]
+        assert spec == SyntheticSpec()
+        assert_help_names("gen-data", {
+            "--m": spec.m, "--n": spec.n, "--center-distance": spec.center_distance,
+            "--noise-sigma": spec.noise_sigma, "--seed": spec.seed,
+            "--split-fraction": spec.split_fraction,
+        }, capsys)
+
+    def test_train(self, monkeypatch, tmp_path, capsys):
+        generate = spy(monkeypatch, "generate")
+        split = spy(monkeypatch, "split")
+        trained = spy(monkeypatch, "train_with_weights", stop=True)
+        with pytest.raises(Stop):
+            run(["train", "--trace-out", tmp_path / "t.csv"])
+        spec, cfg, params = generate[0]["spec"], trained[0]["cfg"], trained[0]["params"]
+        assert spec == SyntheticSpec()
+        assert split[0]["fraction"] == spec.split_fraction
+        assert cfg == TrainConfig()
+        assert params == DCParams(**cli.PRESETS["no-dc"])
+        assert_help_names("train", {
+            "--m": spec.m, "--center-distance": spec.center_distance,
+            "--noise-sigma": spec.noise_sigma, "--data-seed": spec.seed,
+            "--split-fraction": spec.split_fraction, "--eta": cfg.eta,
+            "--batch-size": cfg.batch_size, "--epochs": cfg.epochs, "--seed": cfg.seed,
+            "--mode": cfg.mode.value, "--init": cfg.init.value,
+            "--r": params.r, "--c": params.c, "--d": params.d, "--p-d": params.p_d,
+        }, capsys)
+
+    @pytest.mark.parametrize("profile", ["paper", "desk"])
+    def test_sweep(self, profile, monkeypatch, capsys):
+        grids = spy(monkeypatch, "build_grid")
+        swept = spy(monkeypatch, "run_sweep", stop=True)
+        with pytest.raises(Stop):
+            run(["sweep", "--profile", profile])
+        spec, call = grids[0]["spec"], swept[0]
+        cfg = call["train_cfg"]
+        if profile == "desk":
+            assert spec == GridSpec(**cli.DESK_GRID)
+            assert cfg == replace(TrainConfig(), epochs=cli.DESK_EPOCHS)
+        else:
+            assert spec == GridSpec()
+            assert cfg == TrainConfig()
+        assert call["data_spec"] == SyntheticSpec()
+        assert (call["runs"], call["seed"]) == (spec.runs, spec.seed)
+        threshold = inspect.signature(run_sweep).parameters["accuracy_threshold"].default
+        assert call["accuracy_threshold"] == threshold
+
+        entries = help_entries("sweep", capsys)
+        described = entries["--profile"].split(f"{profile}: ")[1]
+        assert described.startswith(f"{'full' if profile == 'paper' else 'reduced'} grid")
+        assert f"{spec.runs} runs, {cfg.epochs} epochs" in described.split(";")[0]
+        if profile == "desk":
+            steps = ",".join(str(getattr(spec, f"{axis}_steps")) for axis in "dprc")
+            assert f"({steps} steps), {100 * spec.pick_fraction:g}% pick" in described
+        else:
+            assert_help_names("sweep", {
+                "--pick-fraction": spec.pick_fraction, "--runs": spec.runs,
+                "--epochs": cfg.epochs, "--seed": spec.seed, "--batch-size": cfg.batch_size,
+                "--eta": cfg.eta, "--m": SyntheticSpec.m,
+                "--split-fraction": SyntheticSpec.split_fraction,
+                "--accuracy-threshold": threshold,
+            }, capsys)
+
+    def test_verify(self, monkeypatch, capsys):
+        suites = spy(monkeypatch, "run_suites", stop=True)
+        with pytest.raises(Stop):
+            run(["verify", "--suite", "all"])
+        seed = inspect.signature(gradient_suite).parameters["seed"].default
+        assert suites[0]["gradient_seed"] == seed
+        assert inspect.signature(run_suites).parameters["gradient_seed"].default == seed
+        assert_help_names("verify", {"--seed": seed}, capsys)
+
+
+class TestFlagTable:
+    # (flag, dest, type, choices, default) of every option, as the benchmark's
+    # argument lists and scripts rely on them
+    FLAGS = {
+        "gen-data": {
+            ("--center-distance", "center_distance", float, None, 1.5),
+            ("--m", "m", int, None, 1000),
+            ("--n", "n", int, None, 2),
+            ("--noise-sigma", "noise_sigma", float, None, 1.0),
+            ("--out", "out", None, None, None),
+            ("--seed", "seed", int, None, 0),
+            ("--split-fraction", "split_fraction", float, None, 0.8),
+            ("--split-seed", "split_seed", int, None, 0),
+            ("--test-out", "test_out", None, None, None),
+            ("--train-out", "train_out", None, None, None),
+        },
+        "curves": {
+            ("--out", "out", None, None, None),
+            ("--params", "params", None, None, None),
+            ("--preset", "preset", None,
+             ("decaying-dc", "grow-decay-dc", "growing-dc", "no-dc", "all"), None),
+            ("--samples", "samples", int, None, 241),
+            ("--t-max", "t_max", float, None, 6.0),
+            ("--t-min", "t_min", float, None, -6.0),
+        },
+        "rates": {
+            ("--c", "c", float, None, 0.0),
+            ("--d", "d", float, None, 0.0),
+            ("--out", "out", None, None, None),
+            ("--p-d", "p_d", float, None, 0.36787944117144233),
+            ("--r", "r", float, None, 1.0),
+            ("--samples", "samples", int, None, 200),
+            ("--z-max", "z_max", float, None, 10.0),
+            ("--z-min", "z_min", float, None, 1.1),
+        },
+        "verify": {
+            ("--json-out", "json_out", None, None, None),
+            ("--seed", "seed", int, None, 20240801),
+            ("--suite", "suite", None, ("lambert", "theorem", "corollary", "gradient", "all"),
+             None),
+        },
+        "train": {
+            ("--batch-size", "batch_size", int, None, 75),
+            ("--c", "c", float, None, 0.0),
+            ("--center-distance", "center_distance", float, None, 1.5),
+            ("--d", "d", float, None, 0.0),
+            ("--data", "data", None, None, None),
+            ("--data-seed", "data_seed", int, None, 0),
+            ("--epochs", "epochs", int, None, 1500),
+            ("--eta", "eta", float, None, 0.01),
+            ("--init", "init", None, ("zeros", "gaussian_scaled"), "zeros"),
+            ("--m", "m", int, None, 1000),
+            ("--mode", "mode", None, ("gd", "sgd"), "sgd"),
+            ("--noise-sigma", "noise_sigma", float, None, 1.0),
+            ("--p-d", "p_d", float, None, 0.5),
+            ("--preset", "preset", None,
+             ("decaying-dc", "grow-decay-dc", "growing-dc", "no-dc"), None),
+            ("--r", "r", float, None, 1.0),
+            ("--seed", "seed", int, None, 0),
+            ("--split-fraction", "split_fraction", float, None, 0.8),
+            ("--split-seed", "split_seed", int, None, 0),
+            ("--trace-out", "trace_out", None, None, None),
+            ("--weights-out", "weights_out", None, None, None),
+        },
+        "sweep": {
+            ("--accuracy-threshold", "accuracy_threshold", float, None, 0.95),
+            ("--batch-size", "batch_size", int, None, 75),
+            ("--c-steps", "c_steps", int, None, None),
+            ("--csv-out", "csv_out", None, None, None),
+            ("--d-steps", "d_steps", int, None, None),
+            ("--epochs", "epochs", int, None, None),
+            ("--eta", "eta", float, None, 0.01),
+            ("--grid-spec", "grid_spec", None, None, None),
+            ("--json-out", "json_out", None, None, None),
+            ("--m", "m", int, None, 1000),
+            ("--p-steps", "p_steps", int, None, None),
+            ("--pick-fraction", "pick_fraction", float, None, None),
+            ("--profile", "profile", None, ("paper", "desk"), "paper"),
+            ("--r-steps", "r_steps", int, None, None),
+            ("--runs", "runs", int, None, None),
+            ("--seed", "seed", int, None, None),
+            ("--split-fraction", "split_fraction", float, None, 0.8),
+        },
+        "plot": {
+            ("--in", "infile", None, None, None),
+            ("--kind", "kind", None, ("curves", "rates", "trace", "sweep"), None),
+            ("--out", "out", None, None, None),
+        },
+    }
+
+    def test_every_flag_keeps_dest_type_choices_and_default(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands.choices) == list(self.FLAGS)
+        for name, sub in commands.choices.items():
+            table = {
+                (a.option_strings[-1], a.dest, a.type,
+                 None if a.choices is None else tuple(a.choices), repr(a.default))
+                for a in sub._actions if a.dest != "help"
+            }
+            expected = {(*row[:4], repr(row[4])) for row in self.FLAGS[name]}
+            assert table == expected, name

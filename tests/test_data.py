@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dc_optlab import FormatError, SyntheticSpec, ValidationError, generate, split
-from dc_optlab.data import Dataset, csv_text, dataset_csv, load_csv, save_csv
+from dc_optlab.data import Dataset, csv_text, dataset_csv, load_csv, write_text
 
 
 class TestDataset:
@@ -116,13 +116,13 @@ class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         data = generate(SyntheticSpec(m=37, seed=23))
         path = tmp_path / "data.csv"
-        save_csv(data, path)
+        write_text(path, dataset_csv(data))
         assert load_csv(path) == data
 
     def test_header(self, tmp_path):
         data = generate(SyntheticSpec(m=3, seed=0))
         path = tmp_path / "data.csv"
-        save_csv(data, path)
+        write_text(path, dataset_csv(data))
         assert path.read_text().splitlines()[0] == "x1,x2,y"
 
     def test_zero_label_rejected_with_line_number(self, tmp_path):
