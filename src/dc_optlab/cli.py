@@ -75,7 +75,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _add_params_flags(p: argparse.ArgumentParser, with_preset: bool = True):
+def _add_params_flags(p: argparse.ArgumentParser, with_preset: bool = True,
+                      p_d: float = PRESETS["no-dc"]["p_d"]):
     if with_preset:
         p.add_argument(
             "--preset",
@@ -86,9 +87,8 @@ def _add_params_flags(p: argparse.ArgumentParser, with_preset: bool = True):
     p.add_argument("--r", type=float, default=no_dc["r"], help="growth rate (default %(default)s)")
     p.add_argument("--c", type=float, default=no_dc["c"], help="decay rate (default %(default)s)")
     p.add_argument("--d", type=float, default=no_dc["d"], help="difficulty (default %(default)s)")
-    # not %(default)s: rates moves this default with set_defaults
-    p.add_argument("--p-d", type=float, default=no_dc["p_d"],
-                   help=f"response probability at t=d (default {no_dc['p_d']})")
+    p.add_argument("--p-d", type=float, default=p_d,
+                   help="response probability at t=d (default %(default)s)")
 
 
 def _add_data_flags(p: argparse.ArgumentParser, seed_flag: str):
@@ -153,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     # rates
     p = sub.add_parser("rates", help="emit convergence-rate curves as CSV")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_params_flags(p, with_preset=False)
-    p.set_defaults(p_d=math.exp(-1.0))
+    _add_params_flags(p, with_preset=False, p_d=math.exp(-1.0))  # b = -1 at c = 0
     p.add_argument("--z-min", type=float, default=1.1, help="left end of the z grid (default 1.1)")
     p.add_argument("--z-max", type=float, default=10.0, help="right end of the z grid (default 10)")
     p.add_argument("--samples", type=int, default=200, help="grid points, >= 2 (default 200)")

@@ -12,7 +12,7 @@ are bit-identical.
 import enum
 import json
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -143,22 +143,23 @@ def accuracy(theta: np.ndarray, data: Dataset) -> float:
 def _norms(theta: np.ndarray) -> np.ndarray:
     """||theta[j]|| of each row of an (R, n) array, also where the squares
     overflow but the row is finite: then it is rescaled by its max|theta|
-    first. The stacked matmul gives each row the bits of ``np.linalg.norm``
-    (sqrt of a dot product); einsum and ``np.linalg.norm(axis=1)`` do not
-    always."""
+    first; a norm beyond the float64 range is inf. The stacked matmul gives
+    each row the bits of ``np.linalg.norm`` (sqrt of a dot product); einsum
+    and ``np.linalg.norm(axis=1)`` do not always."""
     with np.errstate(over="ignore"):
         norms = np.sqrt((theta[:, None, :] @ theta[:, :, None])[:, 0, 0])
-    big = np.isinf(norms) & np.isfinite(theta).all(axis=1)
-    if big.any():
-        scale = np.max(np.abs(theta[big]), axis=1, keepdims=True)
-        norms[big] = scale[:, 0] * _norms(theta[big] / scale)
+        big = np.isinf(norms) & np.isfinite(theta).all(axis=1)
+        if big.any():
+            scale = np.max(np.abs(theta[big]), axis=1, keepdims=True)
+            norms[big] = scale[:, 0] * _norms(theta[big] / scale)
     return norms
 
 
 def _min_normalized(t: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Each row's min margin of (R, m) margins t over its norm; 0 where the
-    norm is 0."""
-    return np.divide(np.min(t, axis=1), norms, out=np.zeros_like(norms), where=norms != 0.0)
+    norm is 0, NaN where both overflowed."""
+    with np.errstate(invalid="ignore"):
+        return np.divide(np.min(t, axis=1), norms, out=np.zeros_like(norms), where=norms != 0.0)
 
 
 def min_normalized_margin(theta: np.ndarray, data: Dataset) -> float:
@@ -223,6 +224,8 @@ def _lockstep(
     rngs: list[np.random.Generator],
     cfg: TrainConfig,
     diverged: dict[int, NumericalError],
+    finished: dict[int, tuple[int, np.ndarray]],
+    retire: bool,
 ):
     """Train R jobs in lockstep; yield (epoch, live, theta, test accuracy)
     after every epoch.
@@ -240,13 +243,35 @@ def _lockstep(
     (len(live),) ``_accuracies``. A job whose weights leave the finite range
     is dropped from every per-job array, and ``diverged[j]`` gets a
     ``NumericalError`` that names its epoch (and minibatch, for SGD).
+
+    Every other job ends in ``finished[j] = (epoch, theta)``: after the
+    last epoch, or, with ``retire``, earlier, when it retires. A job
+    retires after an epoch in which every derivative it computed was ±0.
+    That is exact: no step
+    of the epoch moved theta, so each of its m training samples was scored
+    at that one theta and gave 0, and every later minibatch, whatever the
+    permutation, is a subset of them. Its theta, test accuracy and train
+    loss therefore stay as they are (a zero step could only turn a -0.0
+    weight into +0.0, and no step makes a -0.0 from a zero or gaussian
+    init), and its generator, read only for permutations, has no draw left
+    that matters. A NaN derivative counts as a move, so a job that
+    diverges still does so where it would. A retired job is dropped from
+    every per-job array after the yield of its last epoch.
     """
     m, n = signed.shape[1:]
     r, d, b, k = np.array([_derivative_constants(p) for p in params]).T[..., None]
     theta = np.array([_initial_theta(cfg, n, rng) for rng in rngs])
     live = np.arange(len(rngs))
+    rngs = np.array(rngs, dtype=object)
     sgd = cfg.mode is Mode.SGD
     step = cfg.batch_size if sgd else m
+
+    def keep_only(keep):
+        nonlocal live, theta, moved, r, d, b, k, signed, test_x, test_y, rngs
+        live, theta, moved, r, d, b, k, signed, test_x, test_y, rngs = (
+            a[keep] for a in (live, theta, moved, r, d, b, k, signed, test_x, test_y, rngs)
+        )
+
     for epoch in range(1, cfg.epochs + 1):
         if sgd:
             # every job's rows in its own epoch order, gathered once
@@ -255,10 +280,13 @@ def _lockstep(
             epoch_rows = signed.reshape(-1, n).take(order, axis=0)
         else:
             epoch_rows = signed
+        moved = np.full(live.size, not retire)
         with np.errstate(over="ignore", invalid="ignore"):
             for batch_index, start in enumerate(range(0, m, step)):
                 batch = epoch_rows[:, start:start + step]
                 deriv = _dc_derivative(np.einsum("rij,rj->ri", batch, theta), r, d, b, k)
+                if retire:
+                    moved |= deriv.any(axis=1)
                 theta = theta - cfg.eta * np.einsum("ri,rij->rj", deriv, batch)
                 if np.isfinite(theta).all():
                     continue
@@ -266,14 +294,19 @@ def _lockstep(
                 where = f"epoch {epoch}, minibatch {batch_index}" if sgd else f"epoch {epoch}"
                 for j in live[~finite]:
                     diverged[int(j)] = NumericalError(f"non-finite weights at {where}")
-                live, theta, r, d, b, k, signed, epoch_rows, test_x, test_y = (
-                    a[finite]
-                    for a in (live, theta, r, d, b, k, signed, epoch_rows, test_x, test_y)
-                )
-                rngs = [rng for rng, keep in zip(rngs, finite) if keep]
+                epoch_rows = epoch_rows[finite]
+                keep_only(finite)
                 if not live.size:
                     return
         yield epoch, live, theta, _accuracies(test_x, test_y, theta)
+        if not moved.all():
+            for j, job_theta in zip(live[~moved], theta[~moved]):
+                finished[int(j)] = (epoch, job_theta)
+            keep_only(moved)
+            if not live.size:
+                return
+    for j, job_theta in zip(live, theta):
+        finished[int(j)] = (cfg.epochs, job_theta)
 
 
 def train_with_weights(
@@ -288,16 +321,21 @@ def train_with_weights(
     ceil(m/batch_size) minibatches (the last may be short), stepping once
     per minibatch on the summed gradient. GD takes one full-batch step per
     epoch. The run is ``_lockstep`` with one job, which gives each epoch's
-    test accuracy; ``_train_metrics`` gives the rest of its trace. Raises
-    ``NumericalError`` with epoch/minibatch coordinates if the weights leave
-    the finite range.
+    test accuracy; ``_train_metrics`` gives the rest of its trace. A run
+    that retires (an epoch whose derivatives were all ±0; see
+    ``_lockstep``) stands still from then on, so the trace repeats the
+    retiring epoch's row, epoch number advanced, which has the bits the
+    remaining epochs would compute, and the weights are the retired ones.
+    Raises ``NumericalError`` with epoch/minibatch coordinates if the
+    weights leave the finite range.
     """
     _check_training_sets(train_set, test_set, cfg)
     signed = _signed_features(train_set)[None]
     diverged: dict[int, NumericalError] = {}
+    finished: dict[int, tuple[int, np.ndarray]] = {}
     epochs = _lockstep(
         [params], signed, test_set.features[None], test_set.labels[None],
-        [np.random.default_rng(cfg.seed)], cfg, diverged,
+        [np.random.default_rng(cfg.seed)], cfg, diverged, finished, retire=True,
     )
     traces: list[EpochTrace] = []
     for epoch, _, theta, acc in epochs:
@@ -313,7 +351,9 @@ def train_with_weights(
         )
     if diverged:
         raise diverged[0]
-    return theta[0], traces
+    last, theta = finished[0]
+    traces += [replace(traces[-1], epoch=epoch) for epoch in range(last + 1, cfg.epochs + 1)]
+    return theta, traces
 
 
 def train(

@@ -11,6 +11,18 @@ every job of a chunk, each on its own data, loss constants and generator,
 with the per-row operations of a run trained alone (``neuron._lockstep``).
 Results are therefore independent of execution order and of chunking, and
 re-running a sweep reproduces it byte for byte.
+
+Every job of a sweep trains for all of its epochs. ``_lockstep`` can
+retire a job after an epoch in which all of its loss derivatives were
+±0, which is exact (the job would stand still from then on) and which
+``train`` does; about two thirds of the paper pick have a derivative of
+exactly 0 at margin 0, so under the default zero init their runs would
+retire after epoch 1. The sweep keeps it off because its time would then
+depend on how many of its configs are frozen at init: the two-config
+``sgd-protocol`` benchmark workload would time no live run on some seeds
+and one on others, some hundred-fold apart, and could no longer compare
+two versions of the sweep. Turning it on waits for that workload to
+sweep a sample large enough to hold a steady frozen share.
 """
 
 import json
@@ -269,9 +281,11 @@ def _train_chunk(
 
     Data, split and the training checks run per job; a job they reject is
     excluded with their error. The others train together in one
-    ``_lockstep``, which gives their test accuracy every epoch; the final
-    train loss of the jobs that finish comes from one ``_train_metrics``
-    call after the last epoch.
+    ``_lockstep``, which gives their test accuracy every epoch and, with
+    retirement off (see the module docstring), runs every job that does
+    not diverge to the last epoch. The final train loss of those jobs
+    comes from one ``_train_metrics`` call on the weights they finished
+    with.
     """
     summaries: list[RunSummary | None] = [None] * len(jobs)
     ready, params, train_sets, test_sets, rngs = [], [], [], [], []
@@ -297,15 +311,20 @@ def _train_chunk(
     final_acc = np.zeros(len(ready))
     final_loss = np.zeros(len(ready))
     diverged: dict[int, NumericalError] = {}
+    finished: dict[int, tuple[int, np.ndarray]] = {}
     steps = _lockstep(
         params, signed, np.stack([t.features for t in test_sets]),
-        np.stack([t.labels for t in test_sets]), rngs, train_cfg, diverged,
+        np.stack([t.labels for t in test_sets]), rngs, train_cfg, diverged, finished,
+        retire=False,
     )
     for epoch, live, theta, acc in steps:
         final_acc[live] = acc
         reached[live[(acc >= accuracy_threshold) & (reached[live] == 0)]] = epoch
-    if len(diverged) < len(ready):  # the last epoch ran: live holds the jobs that finished
-        final_loss[live] = _train_metrics([params[j] for j in live], signed[live], theta)[0]
+    if finished:
+        rows = sorted(finished)
+        final_loss[rows] = _train_metrics(
+            [params[j] for j in rows], signed[rows], np.array([finished[j][1] for j in rows])
+        )[0]
 
     for row, job in enumerate(ready):
         k = jobs[job][1]

@@ -771,6 +771,18 @@ class TestDefaults:
         assert inspect.signature(run_suites).parameters["gradient_seed"].default == seed
         assert_help_names("verify", {"--seed": seed}, capsys)
 
+    def test_rates(self, monkeypatch, tmp_path, capsys):
+        curves = spy(monkeypatch, "rate_curve", stop=True)
+        with pytest.raises(Stop):
+            run(["rates", "--out", tmp_path / "r.csv"])
+        params, z = curves[0]["params"], curves[0]["z_values"]
+        assert params == DCParams(r=1.0, c=0.0, d=0.0, p_d=math.exp(-1.0))
+        assert params.b == -1.0
+        assert_help_names("rates", {
+            "--r": params.r, "--c": params.c, "--d": params.d, "--p-d": params.p_d,
+            "--z-min": z[0], "--samples": z.size,
+        }, capsys)
+
 
 class TestFlagTable:
     # (flag, dest, type, choices, default) of every option, as the benchmark's

@@ -2,7 +2,8 @@
 
 import json
 import math
-from dataclasses import astuple
+import re
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ class TestSaturatedTraining:
         rows = [[], []]
         for epoch, live, theta, acc in _lockstep(
             params, signed, np.stack([te.features] * 2), np.stack([te.labels] * 2),
-            rngs, cfg, {},
+            rngs, cfg, {}, {}, retire=True,
         ):
             assert live.tolist() == [0, 1]
             loss, norm, min_margin = _train_metrics(params, signed, theta)
@@ -424,6 +425,142 @@ class TestSaturatedTraining:
             ref_theta, ref_rows = reference_train(p, tr, te, cfg)
             assert bits(theta[j]) == bits(ref_theta), j
             assert [bits(row) for row in rows[j]] == [bits(row) for row in ref_rows], j
+
+
+# a paper-grid config whose derivative at margin 0 is exactly 0 (r*d = 60),
+# so the zero init never moves, and one that large steps carry past both
+# ends of its derivative's window within an epoch or two
+DEAD = DCParams(r=12.0, c=12.0, d=5.0, p_d=0.5)
+SNAPPING = DCParams(r=12.0, c=2.0, d=0.0, p_d=0.1)
+GROWING = DCParams(r=4.0, c=0.0, d=0.0, p_d=0.5)
+
+
+class TestRetirement:
+    """A job whose derivatives were all ±0 for an epoch retires from the
+    lockstep kernel; every job, retired, diverged or not, keeps the bits of
+    the per-run reference."""
+
+    EPOCHS = 6
+    POOL = (DEAD, SNAPPING, SATURATING, NO_DC)
+
+    @staticmethod
+    def jobs(rng, params):
+        """Per job: train set, test set and training seed, each its own."""
+        seeds = rng.integers(2**31, size=(len(params), 3)).tolist()
+        sets = [split(generate(SyntheticSpec(m=40, seed=a)), 0.8, seed=b) for a, b, _ in seeds]
+        return [tr for tr, _ in sets], [te for _, te in sets], [c for _, _, c in seeds]
+
+    @staticmethod
+    def chunk(params, train_sets, test_sets, seeds, cfg):
+        """One ``_lockstep`` chunk: each job's trace rows as yielded, and
+        the ``diverged`` and ``finished`` it ends with."""
+        signed = np.stack([_signed_features(t) for t in train_sets])
+        rows = [[] for _ in params]
+        diverged, finished = {}, {}
+        for epoch, live, theta, acc in _lockstep(
+            params, signed, np.stack([t.features for t in test_sets]),
+            np.stack([t.labels for t in test_sets]),
+            [np.random.default_rng(s) for s in seeds], cfg, diverged, finished, retire=True,
+        ):
+            loss, norm, min_margin = _train_metrics([params[j] for j in live], signed[live], theta)
+            for i, j in enumerate(live):
+                rows[j].append((epoch, loss[i], acc[i], norm[i], min_margin[i]))
+        return rows, diverged, finished
+
+    def assert_jobs_match_the_reference(self, params, train_sets, test_sets, seeds, cfg):
+        """Each job of the chunk, and the job trained alone by
+        ``train_with_weights``, against ``reference_train``; returns each
+        job's outcome."""
+        rows, diverged, finished = self.chunk(params, train_sets, test_sets, seeds, cfg)
+        assert sorted([*diverged, *finished]) == list(range(len(params)))
+        outcomes = []
+        for j, p in enumerate(params):
+            args = (p, train_sets[j], test_sets[j], replace(cfg, seed=seeds[j]))
+            # near the float64 limit the reference's scalar norms and margins
+            # overflow, and it steps on past a divergence
+            with np.errstate(all="ignore"):
+                ref_theta, ref_rows = reference_train(*args)
+            if j in diverged:
+                epoch = int(re.match(r"non-finite weights at epoch (\d+)", str(diverged[j]))[1])
+                assert [bits(row) for row in rows[j]] == [bits(row) for row in ref_rows[:epoch - 1]]
+                # the reference's weights leave the finite range in that epoch
+                cut = replace(args[3], epochs=epoch)
+                with np.errstate(all="ignore"):
+                    assert not np.isfinite(reference_train(*args[:3], cut)[0]).all(), j
+                    if epoch > 1:
+                        before = reference_train(*args[:3], replace(cut, epochs=epoch - 1))[0]
+                        assert np.isfinite(before).all(), j
+                with pytest.raises(NumericalError) as alone:
+                    train_with_weights(*args)
+                assert str(alone.value) == str(diverged[j])
+                outcomes.append("diverged")
+                continue
+            last, theta = finished[j]
+            assert len(rows[j]) == last
+            assert [bits(row) for row in rows[j]] == [bits(row) for row in ref_rows[:last]], j
+            assert weights_json(theta) == weights_json(ref_theta) and bits(theta) == bits(ref_theta)
+            alone_theta, traces = train_with_weights(*args)
+            assert weights_json(alone_theta) == weights_json(ref_theta)
+            assert [bits(astuple(t)) for t in traces] == [bits(row) for row in ref_rows], j
+            if last == cfg.epochs:
+                outcomes.append("ran every epoch")
+            else:
+                outcomes.append("frozen at init" if last == 1 else "froze later")
+        return outcomes
+
+    @pytest.mark.parametrize("mode", [Mode.GD, Mode.SGD])
+    @pytest.mark.parametrize("init", [Init.ZEROS, Init.GAUSSIAN_SCALED])
+    def test_fuzzed_chunks_match_the_reference(self, mode, init, rng):
+        seen = set()
+        for eta in (0.01, 0.5, 8.0, 1e307) * 2:
+            cfg = TrainConfig(eta=eta, batch_size=8, epochs=self.EPOCHS, mode=mode, init=init)
+            params = [
+                self.POOL[rng.integers(len(self.POOL))] if rng.random() < 0.4
+                else random_params(rng)
+                for _ in range(10)
+            ]
+            seen.update(self.assert_jobs_match_the_reference(params, *self.jobs(rng, params), cfg))
+        assert seen == {"frozen at init", "froze later", "ran every epoch", "diverged"}
+
+    def test_all_frozen_chunk(self, rng):
+        params = [DEAD, DCParams(r=12.0, c=0.0, d=5.0, p_d=0.9), DCParams(r=6.0, c=3.0, d=4.0, p_d=0.3)]
+        assert all(loss_derivative(p, 0.0) == 0.0 for p in params)
+        cfg = TrainConfig(eta=0.01, batch_size=8, epochs=self.EPOCHS)
+        outcomes = self.assert_jobs_match_the_reference(params, *self.jobs(rng, params), cfg)
+        assert outcomes == ["frozen at init"] * 3
+
+    def test_all_diverged_in_epoch_one_chunk(self, rng):
+        # no epoch is ever yielded
+        params = [NO_DC, GROWING, NO_DC]
+        cfg = TrainConfig(eta=1e308, batch_size=8, epochs=self.EPOCHS)
+        jobs = self.jobs(rng, params)
+        rows, diverged, _ = self.chunk(params, *jobs, cfg)
+        assert rows == [[], [], []]
+        assert all("at epoch 1," in str(exc) for exc in diverged.values())
+        assert self.assert_jobs_match_the_reference(params, *jobs, cfg) == ["diverged"] * 3
+
+    @pytest.mark.parametrize("mode", [Mode.GD, Mode.SGD])
+    def test_job_that_freezes_in_its_last_epoch(self, mode, rng):
+        params = [SNAPPING] * 6 + [NO_DC]
+        jobs = self.jobs(rng, params)
+        cfg = TrainConfig(eta=8.0, batch_size=8, epochs=self.EPOCHS, mode=mode)
+        finished = self.chunk(params, *jobs, cfg)[2]
+        j, (froze, theta) = next((j, f) for j, f in finished.items() if 1 < f[0] < cfg.epochs)
+        for epochs in (froze, froze + 1):
+            last = replace(cfg, epochs=epochs)
+            self.assert_jobs_match_the_reference(params, *jobs, last)
+            final = self.chunk(params, *jobs, last)[2][j]
+            assert final[0] == froze and bits(final[1]) == bits(theta)
+
+    def test_frozen_and_diverging_jobs_interleave(self):
+        params = [DEAD, NO_DC, DEAD, GROWING, DEAD, NO_DC, DEAD, GROWING]
+        cfg = TrainConfig(eta=1e307, batch_size=8, epochs=self.EPOCHS, mode=Mode.GD)
+        jobs = self.jobs(np.random.default_rng(0), params)
+        outcomes = self.assert_jobs_match_the_reference(params, *jobs, cfg)
+        assert outcomes == ["frozen at init", "diverged"] * 4
+        # one diverges after the frozen rows have left the chunk
+        diverged = self.chunk(params, *jobs, cfg)[1]
+        assert sorted(str(exc) for exc in diverged.values())[-1].endswith("epoch 2")
 
 
 class TestExports:

@@ -17,13 +17,14 @@ from dc_optlab import (
     ValidationError,
     build_grid,
     generate,
+    loss_derivative,
     run_sweep,
     sample_grid,
     split,
     train,
 )
 from dc_optlab.dc_loss import LossConfigKind
-from dc_optlab.neuron import Init, Mode
+from dc_optlab.neuron import Init, Mode, _lockstep, _signed_features
 from dc_optlab.sweep import run_seeds
 
 SMALL_GRID = GridSpec(d_steps=2, p_steps=2, r_steps=2, c_steps=2, runs=2, seed=0)
@@ -253,3 +254,46 @@ class TestLockstepKernel:
         assert any(run.epochs_to_threshold for c in result.per_config for run in c.runs)
         self.assert_matches_reference(result, cfg)
 
+
+class TestRetirement:
+    CONFIGS = dict(pick_fraction=0.005, seed=1)
+    CFG = TrainConfig(eta=0.01, batch_size=8, epochs=2)
+
+    @staticmethod
+    def dead(configs):
+        return {j for j, p in enumerate(configs) if loss_derivative(p, 0.0) == 0.0}
+
+    def test_runs_retired_after_epoch_one_are_the_dead_at_zero_configs(self):
+        # under the zero init every margin starts at 0, so a run takes zero
+        # steps in epoch 1, and retires, exactly when its config's loss
+        # derivative at 0 is 0: the analytic frozen-at-init label
+        configs = sample_grid(build_grid(GridSpec()), **self.CONFIGS)
+        seeds = [run_seeds(5, i, 0) for i in range(len(configs))]
+        sets = [split(generate(SyntheticSpec(m=40, seed=a)), 0.8, b) for a, b, _ in seeds]
+        finished = {}
+        for _ in _lockstep(
+            configs, np.stack([_signed_features(tr) for tr, _ in sets]),
+            np.stack([te.features for _, te in sets]), np.stack([te.labels for _, te in sets]),
+            [np.random.default_rng(c) for _, _, c in seeds], self.CFG, {}, finished, retire=True,
+        ):
+            pass
+        dead = self.dead(configs)
+        assert 0 < len(dead) < len(configs)
+        assert {j for j, (epoch, _) in finished.items() if epoch == 1} == dead
+        assert len(finished) == len(configs)
+
+    def test_sweep_trains_every_run_to_the_last_epoch(self, monkeypatch):
+        configs = sample_grid(build_grid(GridSpec()), **self.CONFIGS)
+        ended: dict[DCParams, int] = {}
+        lockstep = sweep_module._lockstep
+
+        def spy(params, *args, **kwargs):
+            yield from lockstep(params, *args, **kwargs)
+            finished = args[-1]
+            ended.update((params[j], epoch) for j, (epoch, _) in finished.items())
+
+        monkeypatch.setattr(sweep_module, "_lockstep", spy)
+        run_sweep(configs, SyntheticSpec(m=40), self.CFG, runs=1, seed=5)
+        assert self.dead(configs)
+        assert set(ended) == set(configs)
+        assert set(ended.values()) == {self.CFG.epochs}
