@@ -198,6 +198,8 @@ def _check_training_sets(train_set: Dataset, test_set: Dataset, cfg: TrainConfig
     """Reject datasets that ``train`` cannot run on (typed errors, no training)."""
     if train_set.m == 0:
         raise ValidationError("training set must be nonempty")
+    if test_set.m == 0:
+        raise EmptyDatasetError(f"test split is empty: all {train_set.m} samples went to training")
     if train_set.n != test_set.n:
         raise DimensionError(
             f"train has {train_set.n} features but test has {test_set.n}"
@@ -206,14 +208,24 @@ def _check_training_sets(train_set: Dataset, test_set: Dataset, cfg: TrainConfig
         raise ValidationError(
             f"batch_size {cfg.batch_size} exceeds training set size {train_set.m}"
         )
-    if test_set.m == 0:
-        raise EmptyDatasetError("accuracy of an empty dataset is undefined")
 
 
 def _signed_features(data: Dataset) -> np.ndarray:
     """labels * features row by row: margins are signed @ theta. A sign flip
     is exact, so margins and gradients keep the bits of the unsigned forms."""
     return data.labels[:, None] * data.features
+
+
+def _derivative_columns(params: list[DCParams]) -> np.ndarray:
+    """The ``_derivative_constants`` (r, d, b, k) of R jobs, each an (R, 1) column."""
+    return np.array([_derivative_constants(p) for p in params]).T[..., None]
+
+
+def _summed_gradient(signed, theta, r, d, b, k) -> tuple[np.ndarray, np.ndarray]:
+    """(deriv, grad) of R jobs, the bits of ``loss_derivative`` and ``loss_gradient``, at (R, n)
+    theta on (R, B, n) ``_signed_features`` rows with ``_derivative_columns`` r, d, b, k."""
+    deriv = _dc_derivative(np.einsum("rij,rj->ri", signed, theta), r, d, b, k)
+    return deriv, np.einsum("ri,rij->rj", deriv, signed)
 
 
 def _lockstep(
@@ -259,7 +271,7 @@ def _lockstep(
     every per-job array after the yield of its last epoch.
     """
     m, n = signed.shape[1:]
-    r, d, b, k = np.array([_derivative_constants(p) for p in params]).T[..., None]
+    r, d, b, k = _derivative_columns(params)
     theta = np.array([_initial_theta(cfg, n, rng) for rng in rngs])
     live = np.arange(len(rngs))
     rngs = np.array(rngs, dtype=object)
@@ -284,10 +296,10 @@ def _lockstep(
         with np.errstate(over="ignore", invalid="ignore"):
             for batch_index, start in enumerate(range(0, m, step)):
                 batch = epoch_rows[:, start:start + step]
-                deriv = _dc_derivative(np.einsum("rij,rj->ri", batch, theta), r, d, b, k)
+                deriv, grad = _summed_gradient(batch, theta, r, d, b, k)
                 if retire:
                     moved |= deriv.any(axis=1)
-                theta = theta - cfg.eta * np.einsum("ri,rij->rj", deriv, batch)
+                theta = theta - cfg.eta * grad
                 if np.isfinite(theta).all():
                     continue
                 finite = np.isfinite(theta).all(axis=1)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dc_loss import DCParams, LossConfigKind, classify_config
 from .data import SyntheticSpec, csv_text, generate, split
-from .errors import DCOptLabError, NumericalError, ValidationError, check_number
+from .errors import NumericalError, ValidationError, check_number
 from .neuron import (
     TrainConfig,
     _check_training_sets,
@@ -148,7 +148,7 @@ def sample_grid(grid: Sequence[DCParams], pick_fraction: float, seed: int) -> li
 
 @dataclass
 class RunSummary:
-    """One training run of one config; error set means the run is excluded."""
+    """One training run of one config; error set means it diverged and is excluded."""
 
     run: int
     final_loss: float | None
@@ -259,16 +259,6 @@ def run_seeds(sweep_seed: int, config_index: int, run_index: int) -> tuple[int, 
     return int(a), int(b), int(c)
 
 
-def _excluded(run_index: int, exc: DCOptLabError) -> RunSummary:
-    return RunSummary(
-        run=run_index,
-        final_loss=None,
-        final_accuracy=None,
-        epochs_to_threshold=None,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
 def _train_chunk(
     configs: list[DCParams],
     jobs: list[tuple[int, int]],
@@ -279,37 +269,29 @@ def _train_chunk(
 ) -> list[RunSummary]:
     """Summaries of the (config, run) jobs, in order, trained in lockstep.
 
-    Data, split and the training checks run per job; a job they reject is
-    excluded with their error. The others train together in one
+    Each job draws its data and split and passes the checks ``train``
+    makes, which raise as they do there. The jobs train together in one
     ``_lockstep``, which gives their test accuracy every epoch and, with
     retirement off (see the module docstring), runs every job that does
-    not diverge to the last epoch. The final train loss of those jobs
-    comes from one ``_train_metrics`` call on the weights they finished
-    with.
+    not diverge to the last epoch. A job that diverges is excluded with
+    its ``NumericalError``; the final train loss of the others comes from
+    one ``_train_metrics`` call on the weights they finished with.
     """
-    summaries: list[RunSummary | None] = [None] * len(jobs)
-    ready, params, train_sets, test_sets, rngs = [], [], [], [], []
-    for job, (i, k) in enumerate(jobs):
+    params, train_sets, test_sets, rngs = [], [], [], []
+    for i, k in jobs:
         data_seed, split_seed, train_seed = run_seeds(sweep_seed, i, k)
-        try:
-            data = generate(replace(data_spec, seed=data_seed))
-            train_set, test_set = split(data, data_spec.split_fraction, split_seed)
-            _check_training_sets(train_set, test_set, train_cfg)
-        except DCOptLabError as exc:
-            summaries[job] = _excluded(k, exc)
-            continue
-        ready.append(job)
+        data = generate(replace(data_spec, seed=data_seed))
+        train_set, test_set = split(data, data_spec.split_fraction, split_seed)
+        _check_training_sets(train_set, test_set, train_cfg)
         params.append(configs[i])
         train_sets.append(train_set)
         test_sets.append(test_set)
         rngs.append(np.random.default_rng(train_seed))
-    if not ready:
-        return summaries
 
     signed = np.stack([_signed_features(t) for t in train_sets])
-    reached = np.zeros(len(ready), dtype=int)  # first epoch at the threshold, 0 if none
-    final_acc = np.zeros(len(ready))
-    final_loss = np.zeros(len(ready))
+    reached = np.zeros(len(jobs), dtype=int)  # first epoch at the threshold, 0 if none
+    final_acc = np.zeros(len(jobs))
+    final_loss = np.zeros(len(jobs))
     diverged: dict[int, NumericalError] = {}
     finished: dict[int, tuple[int, np.ndarray]] = {}
     steps = _lockstep(
@@ -326,18 +308,16 @@ def _train_chunk(
             [params[j] for j in rows], signed[rows], np.array([finished[j][1] for j in rows])
         )[0]
 
-    for row, job in enumerate(ready):
-        k = jobs[job][1]
-        if row in diverged:
-            summaries[job] = _excluded(k, diverged[row])
-            continue
-        summaries[job] = RunSummary(
+    return [
+        RunSummary(k, None, None, None, f"NumericalError: {diverged[row]}") if row in diverged
+        else RunSummary(
             run=k,
             final_loss=float(final_loss[row]),
             final_accuracy=float(final_acc[row]),
             epochs_to_threshold=int(reached[row]) or None,
         )
-    return summaries
+        for row, (_, k) in enumerate(jobs)
+    ]
 
 
 def run_sweep(
@@ -350,10 +330,11 @@ def run_sweep(
 ) -> SweepResult:
     """Train every config `runs` times and aggregate.
 
-    Failed runs are recorded with their error and excluded from the
-    mean/std; the exclusion count is reported. Family bests maximize mean
-    final accuracy with ties broken by grid order; decaying-only configs
-    never receive a best entry.
+    A run is excluded only when it diverges: it is recorded with its
+    ``NumericalError`` and left out of the mean/std, and the exclusion
+    count is reported. Data, split and batch-size errors raise as in
+    ``train``. Family bests maximize mean final accuracy with ties broken
+    by grid order; decaying-only configs never receive a best entry.
     """
     if not configs:
         raise ValidationError("configs must be nonempty")

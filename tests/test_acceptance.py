@@ -110,7 +110,7 @@ class TestAcceptance:
         )
 
     def test_05_gradient_correctness(self):
-        result = gradient_suite(trials=100)
+        result = gradient_suite()
         check = result["checks"][0]
         ok = result["passed"]
         assert report(

