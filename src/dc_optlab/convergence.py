@@ -22,7 +22,7 @@ import numpy as np
 
 from .dc_loss import DCParams
 from .errors import DomainError, ValidationError
-from .lambert_w import BRANCH_POINT, DOMAIN_SLACK, w0
+from .lambert_w import BLOCK, BRANCH_POINT, DOMAIN_SLACK, w0
 
 
 def rate_onset(params: DCParams) -> float:
@@ -87,8 +87,10 @@ class BoundBracket:
 def theorem_bracket(b: float, z: float) -> BoundBracket:
     """Bracket W0(b*exp(-z)) + z between b/z + z and b*(ln z - z)/(z ln z) + z.
 
-    Requires b < 0, z >= e, and b*exp(-z) >= -1/e.
+    Requires finite b < 0, finite z >= e, and b*exp(-z) >= -1/e.
     """
+    if not (math.isfinite(b) and math.isfinite(z)):
+        raise ValidationError(f"bracket requires finite b and z, got b={b!r}, z={z!r}")
     if not b < 0:
         raise ValidationError(f"bracket requires b < 0, got {b!r}")
     if z < math.e:
@@ -165,31 +167,50 @@ def _tally(name, b, z, margin, strict: bool) -> InequalityCheck:
 def verify_theorem(b_grid, z_grid) -> VerificationReport:
     """Check the bracket inequalities on every admissible (b, z) pair.
 
-    Pairs are filtered to z > e and z >= ln(-b) + 1 + 1e-9. The reduction
+    Grids of any shape are read as flat sets of values. Pairs are filtered
+    to z > e and z >= ln(-b) + 1 + 1e-9. The reduction
     is order-independent: pairs are sorted lexicographically by (b, z), so
-    the reported worst case breaks ties toward the smallest pair.
+    the reported worst case breaks ties toward the smallest pair. Raises
+    ``ValidationError`` for an empty grid, a b >= 0 or a non-finite value.
     """
-    b_grid = np.sort(np.asarray(b_grid, dtype=float))
-    z_grid = np.sort(np.asarray(z_grid, dtype=float))
+    b_grid = np.sort(np.asarray(b_grid, dtype=float), axis=None)
+    z_grid = np.sort(np.asarray(z_grid, dtype=float), axis=None)
     if b_grid.size == 0 or np.any(b_grid >= 0):
         raise ValidationError("verify_theorem requires a nonempty grid of b < 0")
+    if z_grid.size == 0:
+        raise ValidationError("verify_theorem requires a nonempty grid of z")
+    if not (np.isfinite(b_grid).all() and np.isfinite(z_grid).all()):
+        raise ValidationError("verify_theorem requires finite b and z values")
 
-    b = np.repeat(b_grid, z_grid.size)
-    z = np.tile(z_grid, b_grid.size)
-    keep = (z > math.e) & (z >= np.log(-b) + 1.0 + 1e-9)
-    total = b.size
-    b, z = b[keep], z[keep]
+    # keep[i, j] says whether pair (b_grid[i], zk[j]) is admissible; its
+    # row-major order is the (b, z) order of the pairs
+    zk = z_grid[z_grid > math.e]
+    keep = zk >= (np.log(-b_grid) + 1.0 + 1e-9)[:, None]
+    b = np.broadcast_to(b_grid[:, None], keep.shape)[keep]
+    z = np.broadcast_to(zk, keep.shape)[keep]
+    # the W0 arguments b*e^(-z), with e^(-z) taken once per z
+    value = np.broadcast_to(np.exp(-zk), keep.shape)[keep]
+    value *= b
+    value = w0(value)
 
-    value = w0(b * np.exp(-z)) + z
-    lower, upper = _bracket(b, z)
+    lower_margin, upper_margin, straddle_margin = (np.empty_like(z) for _ in range(3))
+    for s in range(0, z.size, BLOCK):
+        blk = slice(s, s + BLOCK)
+        bb, zz, v = b[blk], z[blk], value[blk]
+        v += zz
+        lower, upper = _bracket(bb, zz)
+        lower_margin[blk] = v - lower
+        upper_margin[blk] = upper - v
+        straddle_margin[blk] = np.minimum(zz - lower, upper - zz)
 
     checks = [
-        _tally("lower <= value", b, z, value - lower, strict=False),
-        _tally("value <= upper", b, z, upper - value, strict=False),
-        _tally("lower < z < upper", b, z, np.minimum(z - lower, upper - z), strict=True),
+        _tally("lower <= value", b, z, lower_margin, strict=False),
+        _tally("value <= upper", b, z, upper_margin, strict=False),
+        _tally("lower < z < upper", b, z, straddle_margin, strict=True),
     ]
     return VerificationReport(
-        checked=int(b.size), filtered_out=int(total - b.size), inequalities=checks
+        checked=int(z.size), filtered_out=int(b_grid.size * z_grid.size - z.size),
+        inequalities=checks,
     )
 
 

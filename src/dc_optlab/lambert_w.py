@@ -8,17 +8,26 @@ regime-dependent initial guess:
 * log(1 + x) for 0.25 <= x <= e,
 * the asymptotic log(x) - log(log(x)) for x > e.
 
-Halley converges cubically; the iteration stops when every step drops
-below 1e-15 * (1 + |w|) and is capped at 50 rounds. An element whose update
-leaves it unchanged is at a fixed point (its step is under half an ulp of
-w, so below the tolerance) and is retired from the working arrays; later
-rounds run only on the elements still moving. Arguments within ~1e-3 of
--1/e can alternate between neighbouring doubles without meeting the
-tolerance, so the cap is reached on most certificate grids, but only those
-few elements pay for it, and the results are bit-identical to iterating the
-whole array. When the cap is reached, the elements still moving must
-satisfy |w*exp(w) - x| <= 1e-12 * max(1, |x|); otherwise ``NumericalError``
-names the first such argument.
+Halley converges cubically; the iteration stops when every step of the
+call drops below 1e-15 * (1 + |w|) and is capped at 50 rounds. Each round
+runs over blocks of ``BLOCK`` elements, so its temporaries stay in cache,
+and the blocks' step tests make that one stop test: a block never stops on
+its own. So an element's last bits depend on the other arguments of the
+call: it takes as many rounds as the slowest of them, and an element that
+has not reached a fixed point moves on. On -geomspace(1e-12, 0.36, 20000),
+983 of the results differ, by up to 5 ulps, from w0 of the argument alone.
+
+An element whose update leaves it unchanged is at a fixed point (its step
+is under half an ulp of w, so below the tolerance); once at most half of
+the working set still moves, the fixed elements leave it and later rounds
+run only on the others. Arguments within ~1e-3 of -1/e can alternate
+between neighbouring doubles without meeting the tolerance, so the cap is
+reached on most certificate grids, but only those few elements pay for it,
+and the results are bit-identical to iterating the whole array. When the
+cap is reached, the elements left in the working set must satisfy
+|w*exp(w) - x| <= 1e-12 * max(1, |x|) (one at a fixed point does, its step
+being under half an ulp); otherwise ``NumericalError`` names the first
+argument that misses it.
 
 Above x = 1e307, Halley's product (w + 2) * f overflows float64 (from about
 3e307 on), which would zero the step and return the initial guess. There
@@ -40,6 +49,8 @@ DOMAIN_SLACK = 1e-12
 _MAX_ITER = 50
 _STEP_TOL = 1e-15
 _LOG_SPACE_MIN = 1e307
+# elements per block of a Halley round: a block's temporaries stay in cache
+BLOCK = 8192
 
 
 def _initial_guess(x: np.ndarray) -> np.ndarray:
@@ -115,33 +126,49 @@ def w0(x):
         )
 
     xa = np.maximum(arr, BRANCH_POINT)
-    w = _initial_guess(xa)
+    w = np.empty_like(xa)
+    for s in range(0, w.size, BLOCK):
+        w[s:s + BLOCK] = _initial_guess(xa[s:s + BLOCK])
 
-    # idx, wa, xa: positions, iterates and arguments of the elements still
-    # moving. An element left unchanged by its update is at a fixed point:
-    # each later round would recompute the same sub-half-ulp step, which
-    # passes the step test and changes no bit.
-    idx, wa = np.arange(w.size), w
+    # idx, wa, xa: positions in w, iterates and arguments of the working set;
+    # idx is None while that set is all of w, and wa may then be w itself.
+    # Rounds alternate between the buffers wa and new, so a round allocates
+    # only its blocks' temporaries.
+    idx, wa = None, w
     big = xa > _LOG_SPACE_MIN
     if big.any():
         w[big] = _log_space_newton(w[big], xa[big])
-        idx, wa, xa = idx[~big], w[~big], xa[~big]
+        idx = np.flatnonzero(~big)
+        wa, xa = w[idx], xa[idx]
+    new = np.empty_like(wa)
     for _ in range(_MAX_ITER):
-        new, settled = _halley_round(wa, xa)
+        settled = True
+        for s in range(0, wa.size, BLOCK):
+            new[s:s + BLOCK], ok = _halley_round(wa[s:s + BLOCK], xa[s:s + BLOCK])
+            settled &= ok
+        wa, new = new, wa
         if settled:
-            w[idx] = new
             break
-        moving = new != wa
-        idx, wa, xa = idx[moving], new[moving], xa[moving]
-        w[idx] = wa
-        del new  # before the next round allocates its temporaries
+        moving = wa != new
+        if 2 * np.count_nonzero(moving) <= moving.size:
+            if idx is None:
+                w, idx = wa, np.flatnonzero(moving)
+            else:
+                w[idx] = wa
+                idx = idx[moving]
+            wa, xa = wa[moving], xa[moving]
+            new = np.empty_like(wa)
     else:
         with np.errstate(over="ignore"):
             bad = np.abs(wa * np.exp(wa) - xa) > 1e-12 * np.maximum(1.0, np.abs(xa))
         if bad.any():
+            first = int(np.argmax(bad))
             raise NumericalError(
                 f"w0 did not converge in {_MAX_ITER} Halley rounds at "
-                f"x={float(arr[idx[bad][0]])!r}"
+                f"x={float(arr[first if idx is None else idx[first]])!r}"
             )
-
+    if idx is None:
+        w = wa
+    else:
+        w[idx] = wa
     return float(w[0]) if scalar else w

@@ -107,6 +107,11 @@ class TestTheoremBracket:
         with pytest.raises(DomainError, match="onset"):
             theorem_bracket(-100.0, 2.9)
 
+    @pytest.mark.parametrize("b, z", [(-1.0, math.inf), (-math.inf, 5.0), (-1.0, math.nan)])
+    def test_non_finite_rejected(self, b, z):
+        with pytest.raises(ValidationError, match="finite"):
+            theorem_bracket(b, z)
+
 
 class TestVerifyTheorem:
     def test_small_grid_all_pass(self):
@@ -127,6 +132,28 @@ class TestVerifyTheorem:
     def test_positive_b_rejected(self):
         with pytest.raises(ValidationError):
             verify_theorem([1.0], [3.0])
+
+    @pytest.mark.parametrize("b, z", [
+        ([-math.inf], [3.0, 4.0]),
+        ([math.nan], [3.0]),
+        ([-1.0, math.nan], [3.0]),
+        ([-1.0], [math.inf]),
+        ([-1.0], [3.0, math.nan]),
+        ([-1.0], [-math.inf, 3.0]),
+    ])
+    def test_non_finite_value_rejected(self, b, z):
+        with pytest.raises(ValidationError, match="finite"):
+            verify_theorem(b, z)
+
+    def test_grids_of_any_shape_read_as_flat(self):
+        b, z = np.array([[-4.0, -1.0], [-2.0, -3.0]]), np.array([[6.0, 3.0], [5.0, 4.0]])
+        flat = verify_theorem(b.ravel(), z.ravel()).to_json()
+        assert verify_theorem(b, z).to_json() == flat
+        assert verify_theorem(b, z.T).to_json() == flat
+
+    def test_empty_z_grid_rejected(self):
+        with pytest.raises(ValidationError, match="grid of z"):
+            verify_theorem([-1.0], [])
 
     def test_report_serializes(self):
         report = verify_theorem([-1.0, -2.0], [3.0, 4.0])

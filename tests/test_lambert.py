@@ -3,6 +3,7 @@ the logarithmic enclosure."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,28 @@ THEOREM_Z = np.geomspace(np.nextafter(math.e, math.inf), 50.0, 200)
 def paper_sample_b(seed):
     spec = GridSpec()
     return np.unique([p.b for p in sample_grid(build_grid(spec), spec.pick_fraction, seed)])
+
+
+def verify_theorem_pairwise(b_grid, z_grid):
+    """The bracket certificate over pairs built by repeat/tile and evaluated
+    on whole arrays, kept as the reference for ``verify_theorem``'s grid
+    broadcast and blocks."""
+    b_grid, z_grid = np.sort(b_grid), np.sort(z_grid)
+    b = np.repeat(b_grid, z_grid.size)
+    z = np.tile(z_grid, b_grid.size)
+    keep = (z > math.e) & (z >= np.log(-b) + 1.0 + 1e-9)
+    total = b.size
+    b, z = b[keep], z[keep]
+    value = w0(b * np.exp(-z)) + z
+    lower, upper = convergence._bracket(b, z)
+    checks = [
+        convergence._tally("lower <= value", b, z, value - lower, strict=False),
+        convergence._tally("value <= upper", b, z, upper - value, strict=False),
+        convergence._tally("lower < z < upper", b, z, np.minimum(z - lower, upper - z),
+                           strict=True),
+    ]
+    return convergence.VerificationReport(
+        checked=int(b.size), filtered_out=int(total - b.size), inequalities=checks)
 
 
 def certify_arguments(seed):
@@ -169,6 +192,26 @@ class TestFixedPointRetirement:
         assert ran == rounds
         assert np.array_equal(w0(x).view(np.int64), ref.view(np.int64))
 
+    @pytest.mark.parametrize("inputs, rounds", [
+        (lambda: certify_arguments(0), lambert_w._MAX_ITER),
+        (lambda: np.geomspace(math.e * (1.0 + 1e-9), 1e6, 50_000), 4),
+    ], ids=["cap", "global_stop"])
+    def test_blocks_share_one_stop_test(self, inputs, rounds):
+        # arguments spread over several blocks, some leaving the Halley loop
+        # (above 1e307) and some at a fixed point from their guess
+        x = inputs()
+        assert x.size > 3 * lambert_w.BLOCK
+        specials = [2e307, 0.0, -0.0, BRANCH_POINT, sys.float_info.max]
+        x = np.insert(x, np.linspace(0, x.size, len(specials)).astype(int), specials)
+        halley = x <= 1e307
+        ref, ran = w0_whole_array(x[halley])
+        assert ran == rounds
+        w = w0(x)
+        assert np.array_equal(w[halley].view(np.int64), ref.view(np.int64))
+        assert np.array_equal(w[~halley].view(np.int64), w0(x[~halley]).view(np.int64))
+        # W0 keeps the sign of its argument, -0.0 included
+        assert np.array_equal(np.signbit(w), np.signbit(x))
+
     @pytest.mark.parametrize("x", [0.0, math.e, -1.0 / math.e, -1.0 / math.e - 1e-13, 1e300,
                                    1e307])
     def test_scalars_bit_equal(self, x):
@@ -181,6 +224,27 @@ class TestFixedPointRetirement:
         monkeypatch.setattr(convergence, "w0", lambda x: w0_whole_array(x)[0])
         assert convergence.verify_theorem(b, THEOREM_Z).to_json() == report
 
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_certificate_json_equals_pairwise_reference(self, seed):
+        b = paper_sample_b(seed)
+        assert (convergence.verify_theorem(b, THEOREM_Z).to_json()
+                == verify_theorem_pairwise(b, THEOREM_Z).to_json())
+
+
+class TestCertificateMemory:
+    def test_traced_peak_under_ten_pair_arrays(self):
+        # the certificate holds a few arrays of one float per pair; whole-array
+        # temporaries in its Halley rounds or margins would push the peak up
+        b = paper_sample_b(0)
+        tracemalloc.start()
+        try:
+            report = convergence.verify_theorem(b, THEOREM_Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.checked == 252_223
+        assert peak < 10 * 8 * report.checked
+
 
 class TestW0NonConvergence:
     def test_unsettled_elements_raise(self, monkeypatch):
@@ -188,6 +252,18 @@ class TestW0NonConvergence:
         monkeypatch.setattr(lambert_w, "_MAX_ITER", 1)
         with pytest.raises(NumericalError, match=r"x=1e\+100"):
             w0(np.array([0.0, 1e100, 1e6]))
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    @pytest.mark.parametrize("background", [
+        np.zeros,  # fixed from their guess: the set shrinks after round 1
+        lambda n: np.geomspace(1e-12, 1e-8, n),  # all move in round 1
+    ], ids=["fixed", "moving"])
+    def test_names_the_argument_in_the_last_block(self, monkeypatch, background, rounds):
+        monkeypatch.setattr(lambert_w, "_MAX_ITER", rounds)
+        x = background(3 * lambert_w.BLOCK + 10)
+        x[5], x[-1] = 2e307, 1e8
+        with pytest.raises(NumericalError, match=r"x=100000000\.0"):
+            w0(x)
 
 
 class TestW0NearTheFloatLimit:
