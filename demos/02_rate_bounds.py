@@ -9,6 +9,7 @@ the enclosure on a dense grid and plots everything.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,9 @@ from dc_optlab import (
     theorem_bracket,
     verify_theorem,
 )
-from dc_optlab.svgplot import Series, render_line_chart, save_svg
+from dc_optlab.data import write_text
+from dc_optlab.svgplot import Series, render_line_chart
+from dc_optlab.verification import THEOREM_B_GRID, THEOREM_Z_GRID
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -47,15 +50,14 @@ for z in (3.0, 5.0, 10.0, 25.0):
         f"straddles={br.straddles_default()}"
     )
 
-b_grid = (-20.0, -10.0, -5.0, -2.0, -1.0, -0.5, -0.1, -0.01, -0.001)
-z_grid = np.geomspace(np.nextafter(math.e, np.inf), 50.0, 200)
-report = verify_theorem(b_grid, z_grid)
+# the grid that `verify --suite theorem` certifies
+report = verify_theorem(THEOREM_B_GRID, THEOREM_Z_GRID)
 print(f"\ncertificate over {report.checked} admissible (b, z) pairs "
       f"({report.filtered_out} below the onset filter):")
 for ineq in report.inequalities:
     print(f"  {ineq.name:<20} failed={ineq.failed} "
           f"worst_margin={ineq.worst_margin:.3e} at (b, z)={ineq.worst_pair}")
-(OUT / "theorem_report.json").write_text(report.to_json() + "\n")
+write_text(OUT / "theorem_report.json", report.to_json() + "\n")
 
 z, g = rate_curve(params, np.linspace(1.1, 12.0, 240))
 lower, upper = bracket_curves(params, z)
@@ -65,10 +67,10 @@ series = [
     Series.of("lower", z, lower),
     Series.of("upper", z, upper),
 ]
-save_svg(
+write_text(
+    OUT / "rate_bounds.svg",
     render_line_chart(series, title="DC rate vs default rate with bounds",
                       x_label="z", y_label="g"),
-    OUT / "rate_bounds.svg",
 )
 print(f"\nwrote {OUT / 'theorem_report.json'}")
 print(f"wrote {OUT / 'rate_bounds.svg'}")
@@ -76,6 +78,6 @@ print(f"wrote {OUT / 'rate_bounds.svg'}")
 print("\nshift directions: larger r contracts the rate toward d,")
 print("larger d translates it up additively:")
 for r in (0.5, 1.0, 2.0, 4.0):
-    print(f"  r={r:<4} dc_rate(5) = {dc_rate(DCParams(r=r, c=0.0, d=0.0, p_d=params.p_d), 5.0):.6f}")
+    print(f"  r={r:<4} dc_rate(5) = {dc_rate(replace(params, r=r), 5.0):.6f}")
 for d in (0.0, 1.0, 2.0):
-    print(f"  d={d:<4} dc_rate(5) = {dc_rate(DCParams(r=1.0, c=0.0, d=d, p_d=params.p_d), 5.0):.6f}")
+    print(f"  d={d:<4} dc_rate(5) = {dc_rate(replace(params, d=d), 5.0):.6f}")

@@ -12,27 +12,27 @@ from dc_optlab import (
     DCParams,
     SyntheticSpec,
     TrainConfig,
+    cli,
     generate,
     save_trace_csv,
     split,
     train,
 )
-from dc_optlab.svgplot import Series, render_line_chart, save_svg
+from dc_optlab.data import write_text
+from dc_optlab.svgplot import Series, render_line_chart
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
-spec = SyntheticSpec(seed=7)  # m=1000, n=2, mirrored blobs at +-1.5*(1,1)
+spec = SyntheticSpec(seed=7)  # the protocol's m, n and blobs, at another seed
 data = generate(spec)
 train_set, test_set = split(data, spec.split_fraction, seed=7)
 print(f"dataset: {data.m} samples, {data.n} features; "
       f"split {train_set.m}/{test_set.m}\n")
 
-cfg = TrainConfig(eta=0.01, batch_size=75, epochs=300, seed=7)
+cfg = TrainConfig(epochs=300, seed=7)  # the protocol's step size and batch
 CONFIGS = {
-    "no-dc": DCParams(r=1.0, c=0.0, d=0.0, p_d=0.5),
-    "growing-dc": DCParams(r=3.0, c=0.0, d=0.0, p_d=0.5),
-    "grow-decay-dc": DCParams(r=3.0, c=2.0, d=0.0, p_d=0.5),
+    name: DCParams(**cli.PRESETS[name]) for name in ("no-dc", "growing-dc", "grow-decay-dc")
 }
 
 acc_series = []
@@ -50,15 +50,15 @@ for name, params in CONFIGS.items():
     )
     save_trace_csv(traces, OUT / f"trace_{name}.csv")
 
-save_svg(
+write_text(
+    OUT / "train_accuracy.svg",
     render_line_chart(acc_series, title="test accuracy by epoch",
                       x_label="epoch", y_label="accuracy"),
-    OUT / "train_accuracy.svg",
 )
-save_svg(
+write_text(
+    OUT / "train_margin.svg",
     render_line_chart(margin_series, title="min normalized margin by epoch",
                       x_label="epoch", y_label="margin"),
-    OUT / "train_margin.svg",
 )
 
 print("\nthe normalized margin tracks how far the weight direction has")

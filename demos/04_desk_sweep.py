@@ -2,53 +2,28 @@
 """Desk-scale hyperparameter sweep: grid, random pick, repeated runs.
 
 The full protocol spans a 59,400-point grid with a 2.5% random pick and 10
-runs of 1500 epochs per config. This demo shrinks the grid so the same
-machinery finishes in seconds, then prints the per-family comparison.
+runs of 1500 epochs per config. The CLI's desk profile shrinks the grid,
+the runs and the epochs so the same machinery finishes in seconds; this
+demo runs `dc-optlab sweep --profile desk --seed 6`, which prints the
+per-family comparison.
 """
 
 from pathlib import Path
 
-from dc_optlab import (
-    GridSpec,
-    SyntheticSpec,
-    TrainConfig,
-    build_grid,
-    run_sweep,
-    sample_grid,
-)
+from dc_optlab import GridSpec, build_grid, cli, sample_grid
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 full = GridSpec()
-print(f"full protocol grid: 11*9*24*25 = {len(build_grid(full))} configs; "
-      f"2.5% pick = {len(sample_grid(build_grid(full), 0.025, seed=0))} sampled\n")
+grid = build_grid(full)
+steps = "*".join(str(getattr(full, f"{axis}_steps")) for axis in "dprc")
+print(f"full protocol grid: {steps} = {len(grid)} configs; {100 * full.pick_fraction:g}% "
+      f"pick = {len(sample_grid(grid, full.pick_fraction, full.seed))} sampled\n")
 
-desk = GridSpec(d_steps=2, p_steps=2, r_steps=4, c_steps=4,
-                pick_fraction=0.125, runs=3, seed=6)
-grid = build_grid(desk)
-configs = sample_grid(grid, desk.pick_fraction, desk.seed)
-print(f"desk grid: {len(grid)} configs, sampled {len(configs)}; "
-      f"{desk.runs} runs each, 300 epochs")
+cli.main(["sweep", "--profile", "desk", "--seed", "6",
+          "--json-out", str(OUT / "desk_sweep.json"), "--csv-out", str(OUT / "desk_sweep.csv")])
 
-result = run_sweep(
-    configs,
-    SyntheticSpec(m=1000, n=2, split_fraction=0.8, seed=0),
-    TrainConfig(eta=0.01, batch_size=75, epochs=300, seed=0),
-    runs=desk.runs,
-    seed=desk.seed,
-)
-
-print(f"\nexcluded runs: {result.excluded_runs}")
-print(f"{'family':<16}{'configs':>8}{'best_id':>9}{'best_acc':>10}{'avg_acc':>10}")
-for row in result.family_table():
-    best = "-" if row["best_config_id"] is None else str(row["best_config_id"])
-    bacc = "-" if row["best_mean_accuracy"] is None else f"{row['best_mean_accuracy']:.4f}"
-    aacc = "-" if row["avg_mean_accuracy"] is None else f"{row['avg_mean_accuracy']:.4f}"
-    print(f"{row['family']:<16}{row['n_configs']:>8}{best:>9}{bacc:>10}{aacc:>10}")
-
-(OUT / "desk_sweep.json").write_text(result.to_json() + "\n")
-(OUT / "desk_sweep.csv").write_text(result.to_csv())
 print(f"\nwrote {OUT / 'desk_sweep.json'}")
 print(f"wrote {OUT / 'desk_sweep.csv'}")
 print("\nthe comparison is reported, not asserted: which family wins")

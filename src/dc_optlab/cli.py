@@ -45,7 +45,7 @@ from .neuron import (
     train_with_weights,
     weights_json,
 )
-from .svgplot import Series, render_line_chart, save_svg
+from .svgplot import Series, render_line_chart
 from .sweep import (
     ACCURACY_THRESHOLD,
     SWEEP_HEADER,
@@ -146,9 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--params", action="append", default=None, metavar="R,C,D,P_D",
         help="explicit configuration as four comma-separated values; repeatable",
     )
-    p.add_argument("--t-min", type=float, default=-6.0, help="left end of the margin grid (default -6)")
-    p.add_argument("--t-max", type=float, default=6.0, help="right end of the margin grid (default 6)")
-    p.add_argument("--samples", type=int, default=241, help="grid points, >= 2 (default 241)")
+    t_min, t_max, samples = CURVES_GRID
+    p.add_argument("--t-min", type=float, default=t_min,
+                   help=f"left end of the margin grid (default {t_min:g})")
+    p.add_argument("--t-max", type=float, default=t_max,
+                   help=f"right end of the margin grid (default {t_max:g})")
+    p.add_argument("--samples", type=int, default=samples,
+                   help=f"grid points, >= 2 (default {samples})")
 
     # rates
     p = sub.add_parser("rates", help="emit convergence-rate curves as CSV")
@@ -260,6 +264,7 @@ def _parse_params_csv(text: str) -> DCParams:
 
 
 CURVES_HEADER = ("config", "t", "prob", "loss", "derivative", "f")
+CURVES_GRID = (-6.0, 6.0, 241)  # the default margin grid: t_min, t_max, samples
 
 
 def _cmd_curves(args) -> int:
@@ -273,7 +278,8 @@ def _cmd_curves(args) -> int:
     presets = args.preset or ([] if args.params else ["all"])
     if "all" in presets:
         presets = sorted(PRESETS)
-    configs = [(name, DCParams(**PRESETS[name])) for name in presets]
+    # a repeated name is one curve, where it is first given
+    configs = [(name, DCParams(**PRESETS[name])) for name in dict.fromkeys(presets)]
     configs += [(f"custom{i}", _parse_params_csv(text)) for i, text in enumerate(args.params or [])]
 
     t = np.linspace(args.t_min, args.t_max, args.samples)
@@ -447,7 +453,7 @@ def _cmd_plot(args) -> int:
     else:
         series = [Series.of(name, x, y) for name, y in zip(names[1:], ys)]
     svg = render_line_chart(series, title=title, x_label=names[0], y_label=y_label)
-    save_svg(svg, args.out)
+    write_text(args.out, svg)
     return EXIT_OK
 
 

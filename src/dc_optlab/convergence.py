@@ -138,8 +138,8 @@ class VerificationReport:
             "inequalities": [asdict(c) for c in self.inequalities],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _tally(name, b, z, margin, strict: bool) -> InequalityCheck:

@@ -10,8 +10,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .data import write_text
-
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#000000",
     "#9467bd", "#ff7f0e", "#8c564b", "#7f7f7f",
@@ -52,8 +50,8 @@ def _finite_extent(series: list[Series], attr: str) -> tuple[float, float, float
     return lo, hi, 1.0 if math.isfinite(hi - lo) else 0.5
 
 
-def _ticks(lo: float, hi: float, k: float, target: int = 6) -> list[float]:
-    raw = (hi * k - lo * k) / max(target - 1, 1) / k
+def _ticks(lo: float, hi: float, k: float) -> list[float]:
+    raw = (hi * k - lo * k) / 5 / k  # five steps: about six ticks
     if raw <= 1e-323:
         # 10.0 ** -324 underflows to 0: no decade step fits a span of a few
         # subnormals, so its ends are the ticks
@@ -191,7 +189,3 @@ def _escape(text: str) -> str:
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         .replace('"', "&quot;")
     )
-
-
-def save_svg(svg_text: str, path) -> None:
-    write_text(path, svg_text)

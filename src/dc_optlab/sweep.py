@@ -205,8 +205,8 @@ class SweepResult:
             "per_config": [c.to_dict() for c in self.per_config],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
         nan = float("nan")

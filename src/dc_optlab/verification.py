@@ -26,16 +26,16 @@ SUITES = {
 
 # bracket-certificate grid: 9 b values x 200 log-spaced z in (e, 50]
 THEOREM_B_GRID = (-20.0, -10.0, -5.0, -2.0, -1.0, -0.5, -0.1, -0.01, -0.001)
-THEOREM_Z_COUNT = 200
+THEOREM_Z_GRID = np.geomspace(np.nextafter(math.e, np.inf), 50.0, 200)
 
 
 def _check(name: str, passed: bool, **details) -> dict:
     return {"name": name, "passed": bool(passed), **details}
 
 
-def identity_grid(n: int = 10_000, offset_lo: float = 1e-9, hi: float = 1e6) -> np.ndarray:
-    """n points log-spaced in distance from the branch point, reaching hi."""
-    return BRANCH_POINT + np.geomspace(offset_lo, hi - BRANCH_POINT, n)
+def identity_grid() -> np.ndarray:
+    """10,000 points from 1e-9 above the branch point to 1e6, log-spaced in offset."""
+    return BRANCH_POINT + np.geomspace(1e-9, 1e6 - BRANCH_POINT, 10_000)
 
 
 def lambert_suite() -> dict:
@@ -74,8 +74,7 @@ def lambert_suite() -> dict:
 
 
 def theorem_suite() -> dict:
-    z_grid = np.geomspace(np.nextafter(math.e, np.inf), 50.0, THEOREM_Z_COUNT)
-    report = verify_theorem(THEOREM_B_GRID, z_grid)
+    report = verify_theorem(THEOREM_B_GRID, THEOREM_Z_GRID)
     checks = [
         _check(
             ineq.name,
@@ -167,6 +166,7 @@ def gradient_suite(seed: int = GRADIENT_SEED) -> dict:
 
 
 def run_suites(names, gradient_seed: int = GRADIENT_SEED) -> dict:
-    selected = SUITES if "all" in names else names
+    # a repeated name runs once, where it is first given
+    selected = SUITES if "all" in names else dict.fromkeys(names)
     suites = [SUITES[name](gradient_seed) for name in selected]
     return {"passed": all(s["passed"] for s in suites), "suites": suites}

@@ -127,6 +127,15 @@ class TestCurves:
         _, rows = read_rows(out)
         assert rows[0][0] == "custom0"
 
+    def test_repeated_preset_is_one_curve(self, tmp_path):
+        # each --params entry stays a curve of its own, even when two are equal
+        out = tmp_path / "c.csv"
+        assert run(["curves", "--out", out, "--preset", "no-dc", "--preset", "growing-dc",
+                    "--preset", "no-dc", "--params", "1,0,0,0.5", "--params", "1,0,0,0.5"]) == 0
+        labels = [row[0] for row in read_rows(out)[1]]
+        assert labels == [name for name in ("no-dc", "growing-dc", "custom0", "custom1")
+                          for _ in range(241)]
+
     def test_single_sample_rejected(self, tmp_path):
         assert run(["curves", "--out", tmp_path / "c.csv", "--samples", 1]) == 2
 
@@ -295,6 +304,14 @@ class TestVerify:
         assert [s["suite"] for s in report["suites"]] == [
             "lambert", "theorem", "corollary", "gradient",
         ]
+
+    def test_repeated_suite_runs_once(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert run(["verify", "--suite", "corollary", "--suite", "lambert", "--suite",
+                    "corollary", "--json-out", report_path]) == 0
+        report = json.loads(report_path.read_text())
+        assert [s["suite"] for s in report["suites"]] == ["corollary", "lambert"]
+        assert capsys.readouterr().err.count("corollary: difficulty_shift_exact") == 1
 
     def test_report_goes_to_stdout_without_json_out(self, capsys):
         assert run(["verify", "--suite", "corollary"]) == 0
@@ -601,6 +618,32 @@ class TestPlot:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["plot", "--kind", "rates", "--in", tmp_path / "nope.csv",
                     "--out", tmp_path / "x.svg"]) == 3
+
+
+class TestOutputBytes:
+    """The SHA-256 of outputs that no file in demos/out pins. A change that
+    moves these bytes on purpose updates the digest here and says so in
+    CHANGES.md; every other change leaves them as they are."""
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["verify", "--suite", "all", "--json-out", "report.json"],
+         {"report.json": "8d59b87eebe4db986abedf5792acbc9be3774e7057b3a862cb004ae65f2c19d4"}),
+        (["rates", "--out", "rates.csv"],
+         {"rates.csv": "b59c630431dee660277de3eccab678368bef5dc62d106e9139164d641ea1b8d9"}),
+        (["gen-data", "--out", "data.csv", "--train-out", "train.csv", "--test-out", "test.csv"],
+         {"data.csv": "0e53cbfbfe45fbcc03f83334a6aab626859e7065bee9302783fd726b1e4ccc8b",
+          "train.csv": "1af428b1ff162ff2037ade11cb2f2ec2443f65871b6af9f7019006e288fcefe9",
+          "test.csv": "f3d36c4aca13536ba5cfff64257b8207b4edcacff280d7a3cb62d61baad3bbc8"}),
+        (["train", "--mode", "gd", "--epochs", 20, "--trace-out", "trace.csv",
+          "--weights-out", "weights.json"],
+         {"trace.csv": "b224a8a060db8b1a5bf1443146c41bd9fa8445cc5940f203fdc1039e17699738",
+          "weights.json": "294f9ac283571f5ccb7b7d611c4c7bc9d8a147651f501f7f97794ac1d9321f87"}),
+    ], ids=["verify-all", "rates", "gen-data-split", "train-gd"])
+    def test_sha256(self, argv, digests, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 0
+        written = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in digests}
+        assert written == digests
 
 
 class TestMalformedFiles:

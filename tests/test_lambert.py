@@ -11,7 +11,7 @@ import pytest
 from dc_optlab import BRANCH_POINT, DomainError, NumericalError, w0
 from dc_optlab import convergence, lambert_w
 from dc_optlab.sweep import GridSpec, build_grid, sample_grid
-from dc_optlab.verification import identity_grid
+from dc_optlab.verification import THEOREM_Z_GRID, identity_grid
 from conftest import w0_bisect
 
 
@@ -33,10 +33,6 @@ def w0_whole_array(x):
         if np.all(np.abs(step) <= lambert_w._STEP_TOL * (1.0 + np.abs(w))):
             break
     return w, rounds
-
-
-# the z grid of the theorem suite and of the benchmark's certificate
-THEOREM_Z = np.geomspace(np.nextafter(math.e, math.inf), 50.0, 200)
 
 
 def paper_sample_b(seed):
@@ -69,8 +65,8 @@ def verify_theorem_pairwise(b_grid, z_grid):
 def certify_arguments(seed):
     """The W0 arguments ``verify_theorem`` evaluates for a paper sample's b
     values against the theorem z grid."""
-    b = np.repeat(paper_sample_b(seed), THEOREM_Z.size)
-    z = np.tile(THEOREM_Z, b.size // THEOREM_Z.size)
+    b = np.repeat(paper_sample_b(seed), THEOREM_Z_GRID.size)
+    z = np.tile(THEOREM_Z_GRID, b.size // THEOREM_Z_GRID.size)
     keep = (z > math.e) & (z >= np.log(-b) + 1.0 + 1e-9)
     return b[keep] * np.exp(-z[keep])
 
@@ -220,15 +216,15 @@ class TestFixedPointRetirement:
 
     def test_certificate_json_unchanged(self, monkeypatch):
         b = paper_sample_b(0)
-        report = convergence.verify_theorem(b, THEOREM_Z).to_json()
+        report = convergence.verify_theorem(b, THEOREM_Z_GRID).to_json()
         monkeypatch.setattr(convergence, "w0", lambda x: w0_whole_array(x)[0])
-        assert convergence.verify_theorem(b, THEOREM_Z).to_json() == report
+        assert convergence.verify_theorem(b, THEOREM_Z_GRID).to_json() == report
 
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_certificate_json_equals_pairwise_reference(self, seed):
         b = paper_sample_b(seed)
-        assert (convergence.verify_theorem(b, THEOREM_Z).to_json()
-                == verify_theorem_pairwise(b, THEOREM_Z).to_json())
+        assert (convergence.verify_theorem(b, THEOREM_Z_GRID).to_json()
+                == verify_theorem_pairwise(b, THEOREM_Z_GRID).to_json())
 
 
 class TestCertificateMemory:
@@ -238,7 +234,7 @@ class TestCertificateMemory:
         b = paper_sample_b(0)
         tracemalloc.start()
         try:
-            report = convergence.verify_theorem(b, THEOREM_Z)
+            report = convergence.verify_theorem(b, THEOREM_Z_GRID)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
